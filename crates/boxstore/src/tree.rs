@@ -10,12 +10,22 @@ use dyadic::{DyadicBox, DyadicInterval, MAX_DIMS};
 /// Sentinel for "no node".
 const NONE: u32 = u32::MAX;
 
+/// Sentinel for an **implicit λ-tail leaf**: a position where exactly
+/// one stored box ends, λ on every later dimension, with nothing passing
+/// through. Such a position says nothing its parent's slot could not, so
+/// it gets no node; walks read it as [`Node::LEAF`].
+const LEAF: u32 = u32::MAX - 1;
+
+/// Slot index of the `next` link in [`BoxTree::step`] (0 and 1 are the
+/// child bits).
+const NEXT: usize = 2;
+
 /// One node of one level's dyadic (binary) tree.
 ///
 /// `children[b]` follows bit `b` of the current dimension's bitstring;
 /// `next` points at the root of the *next level's* tree for boxes whose
 /// current component ends at this node. At the last level `next == NONE`
-/// and `terminal` marks stored boxes.
+/// and `terminal` marks stored boxes. Any link may instead be [`LEAF`].
 ///
 /// `lam` caches the λ-tail fact — "a stored box ends its component at
 /// this node and is λ on every later dimension" — the question every
@@ -38,6 +48,28 @@ impl Node {
         terminal: false,
         lam: false,
     };
+
+    /// What a [`LEAF`] link reads as: λ-tail bit set, no children, `next`
+    /// another leaf, terminal at the last level. (Walks read `next` only
+    /// below the last level and `terminal` only at it.)
+    const LEAF: Node = Node {
+        children: [NONE, NONE],
+        next: LEAF,
+        terminal: true,
+        lam: true,
+    };
+
+    /// The real node a leaf on level `level` of an `n`-level store
+    /// becomes once a later box must pass through it: the same facts,
+    /// with writable slots.
+    fn from_leaf(level: usize, n: usize) -> Node {
+        let last = level + 1 == n;
+        Node {
+            next: if last { NONE } else { LEAF },
+            terminal: last,
+            ..Node::LEAF
+        }
+    }
 }
 
 /// A set of `n`-dimensional dyadic boxes stored as a multilevel dyadic
@@ -45,7 +77,9 @@ impl Node {
 ///
 /// Supports insertion, exact-duplicate detection, and the containment
 /// queries Tetris needs. Nodes live in a single arena (`Vec`) addressed by
-/// `u32` ids — no per-node allocation, cheap to clear and reuse.
+/// `u32` ids — no per-node allocation, cheap to clear and reuse. λ-tail
+/// ends take no node at all: their parent's slot holds the `LEAF`
+/// sentinel (see DESIGN.md §2, "Implicit leaves").
 ///
 /// ```
 /// use boxstore::BoxTree;
@@ -154,16 +188,79 @@ impl BoxTree {
     }
 
     fn alloc(&mut self) -> u32 {
-        // `NONE` (u32::MAX) is the no-child sentinel, so the id space is
-        // one short of u32; guard before allocating rather than silently
-        // truncating node ids on huge stores.
+        // `LEAF` and `NONE` are the two largest u32 values, so real ids
+        // stay below `LEAF`; guard before allocating rather than silently
+        // truncating node ids (or minting a sentinel) on huge stores.
         assert!(
-            self.nodes.len() < NONE as usize,
+            self.nodes.len() < LEAF as usize,
             "BoxTree: node-id space (u32) exhausted"
         );
         let id = self.nodes.len() as u32;
         self.nodes.push(Node::EMPTY);
         id
+    }
+
+    /// The node behind a link; a [`LEAF`] reads as [`Node::LEAF`].
+    #[inline]
+    fn node(&self, id: u32) -> Node {
+        if id == LEAF {
+            Node::LEAF
+        } else {
+            self.nodes[id as usize]
+        }
+    }
+
+    /// The writable link `slot` (a child bit or [`NEXT`]) of real node
+    /// `parent`.
+    fn slot_mut(&mut self, parent: u32, slot: usize) -> &mut u32 {
+        let nd = &mut self.nodes[parent as usize];
+        if slot == NEXT {
+            &mut nd.next
+        } else {
+            &mut nd.children[slot]
+        }
+    }
+
+    /// One insert step from `parent` through `slot` to a position on
+    /// `level`, returning the position's id. `in_tail` says the inserted
+    /// box's path from this position on is its λ-tail chain. The first
+    /// step that yields a [`LEAF`] records in `leaf_fresh` whether the box
+    /// is new; every later step of that insert stays on the leaf.
+    fn step(
+        &mut self,
+        parent: u32,
+        slot: usize,
+        level: usize,
+        in_tail: bool,
+        leaf_fresh: &mut Option<bool>,
+    ) -> u32 {
+        if parent == LEAF {
+            return LEAF; // the rest of the λ-tail is implicit
+        }
+        let link = *self.slot_mut(parent, slot);
+        match link {
+            NONE if in_tail => {
+                *self.slot_mut(parent, slot) = LEAF;
+                *leaf_fresh = Some(true);
+                LEAF
+            }
+            // Both paths are this leaf's λ-tail chain: the same box.
+            LEAF if in_tail => {
+                *leaf_fresh = Some(false);
+                LEAF
+            }
+            NONE | LEAF => {
+                // The box must pass through: allocate the position, and
+                // keep the leaf's facts if one was here.
+                let id = self.alloc();
+                if link == LEAF {
+                    self.nodes[id as usize] = Node::from_leaf(level, self.n);
+                }
+                *self.slot_mut(parent, slot) = id;
+                id
+            }
+            real => real,
+        }
     }
 
     /// Insert a box. Returns `true` if it was new, `false` if this exact
@@ -178,50 +275,55 @@ impl BoxTree {
     /// If the box has the wrong dimensionality.
     pub fn insert(&mut self, b: &DyadicBox) -> bool {
         assert_eq!(b.n(), self.n, "box dimensionality mismatch");
-        let (start_dim, start_len) = self.cursor.resume_point(b);
+        let (mut start_dim, mut start_len) = self.cursor.resume_point(b);
+        // A leaf has no slots to walk through. Leaves only ever trail the
+        // cached path, so back up to the real parent of the first one.
+        while self.cursor.node_at(start_dim, start_len) == LEAF {
+            if start_len > 0 {
+                start_len -= 1;
+            } else {
+                start_dim -= 1;
+                start_len = b.get(start_dim).len();
+            }
+        }
         let mut node = self.cursor.node_at(start_dim, start_len);
         self.cursor.begin(b, start_dim, start_len);
+        // The λ-tail chain starts where the last non-λ component ends
+        // (the root for the universe box); positions `>= tail` are on it.
+        let t0 = (0..self.n)
+            .rev()
+            .find(|&i| !b.get(i).is_lambda())
+            .unwrap_or(0);
+        let tail = (t0, b.get(t0).len());
+        let mut leaf_fresh = None;
         for dim in start_dim..self.n {
             let iv = b.get(dim);
             let from = if dim == start_dim { start_len } else { 0 };
             for k in from..iv.len() {
                 let bit = ((iv.bits() >> (iv.len() - 1 - k)) & 1) as usize;
-                let child = self.nodes[node as usize].children[bit];
-                node = if child == NONE {
-                    let id = self.alloc();
-                    self.nodes[node as usize].children[bit] = id;
-                    id
-                } else {
-                    child
-                };
+                node = self.step(node, bit, dim, (dim, k + 1) >= tail, &mut leaf_fresh);
                 self.cursor.push(node);
             }
             if dim + 1 < self.n {
-                let next = self.nodes[node as usize].next;
-                node = if next == NONE {
-                    let id = self.alloc();
-                    self.nodes[node as usize].next = id;
-                    id
-                } else {
-                    next
-                };
+                node = self.step(node, NEXT, dim + 1, (dim + 1, 0) >= tail, &mut leaf_fresh);
                 self.cursor.start_dim(dim + 1, node);
             }
         }
         #[cfg(debug_assertions)]
         self.debug_check_cursor(b);
-        // Every end-of-component node from the last non-λ component on
-        // gains the λ-tail fact; all of them sit on the cursor path.
-        let t0 = (0..self.n)
-            .rev()
-            .find(|&i| !b.get(i).is_lambda())
-            .unwrap_or(0);
+        // Every real end-of-component node on the λ-tail chain gains the
+        // λ-tail fact (a leaf has it implicitly); all of them sit on the
+        // cursor path.
         for i in t0..self.n {
             let e = self.cursor.end_node(i, b);
-            self.nodes[e as usize].lam = true;
+            if e != LEAF {
+                self.nodes[e as usize].lam = true;
+            }
         }
-        let fresh = !self.nodes[node as usize].terminal;
-        self.nodes[node as usize].terminal = true;
+        let fresh = leaf_fresh.unwrap_or_else(|| {
+            let nd = &mut self.nodes[node as usize];
+            !std::mem::replace(&mut nd.terminal, true)
+        });
         if fresh {
             self.len += 1;
             self.epoch += 1;
@@ -240,11 +342,11 @@ impl BoxTree {
             let iv = b.get(dim);
             for k in 0..iv.len() {
                 let bit = ((iv.bits() >> (iv.len() - 1 - k)) & 1) as usize;
-                node = self.nodes[node as usize].children[bit];
+                node = self.node(node).children[bit];
                 assert_eq!(self.cursor.node_at(dim, k + 1), node, "cursor bit node");
             }
             if dim + 1 < self.n {
-                node = self.nodes[node as usize].next;
+                node = self.node(node).next;
             }
         }
     }
@@ -257,21 +359,21 @@ impl BoxTree {
             let iv = b.get(dim);
             for k in 0..iv.len() {
                 let bit = ((iv.bits() >> (iv.len() - 1 - k)) & 1) as usize;
-                let child = self.nodes[node as usize].children[bit];
+                let child = self.node(node).children[bit];
                 if child == NONE {
                     return false;
                 }
                 node = child;
             }
             if dim + 1 < self.n {
-                let next = self.nodes[node as usize].next;
+                let next = self.node(node).next;
                 if next == NONE {
                     return false;
                 }
                 node = next;
             }
         }
-        self.nodes[node as usize].terminal
+        self.node(node).terminal
     }
 
     /// Find one stored box `a ⊇ b`, if any (Algorithm 1, line 1).
@@ -305,7 +407,7 @@ impl BoxTree {
         let mut node = root;
         let mut k = 0u8;
         loop {
-            let nd = self.nodes[node as usize];
+            let nd = self.node(node);
             if last {
                 if nd.terminal {
                     scratch.set(dim, iv.truncate(k));
@@ -533,14 +635,14 @@ impl BoxTree {
             let cv = c.get(j);
             for k in 0..cv.len() {
                 let bit = ((cv.bits() >> (cv.len() - 1 - k)) & 1) as usize;
-                node = self.nodes[node as usize].children[bit];
+                node = self.node(node).children[bit];
             }
-            node = self.nodes[node as usize].next;
+            node = self.node(node).next;
         }
         let iv = b.get(dim);
         for k in 0..iv.len() {
             let bit = ((iv.bits() >> (iv.len() - 1 - k)) & 1) as usize;
-            node = self.nodes[node as usize].children[bit];
+            node = self.node(node).children[bit];
         }
         node
     }
@@ -548,9 +650,10 @@ impl BoxTree {
     /// Whether a box ends through `node` at level `dim` with `λ`
     /// components on every later dimension — answered from the bit
     /// maintained by [`BoxTree::insert`], checked against the chain walk
-    /// under debug assertions.
+    /// under debug assertions. A [`LEAF`] answers from the parent's slot
+    /// alone, without loading a node.
     fn lambda_tail(&self, node: u32, _dim: usize) -> bool {
-        let cached = self.nodes[node as usize].lam;
+        let cached = node == LEAF || self.nodes[node as usize].lam;
         #[cfg(debug_assertions)]
         debug_assert_eq!(cached, self.lambda_tail_walk(node, _dim));
         cached
@@ -561,7 +664,7 @@ impl BoxTree {
     fn lambda_tail_walk(&self, node: u32, dim: usize) -> bool {
         let mut x = node;
         for d in dim..self.n {
-            let nd = self.nodes[x as usize];
+            let nd = self.node(x);
             if d + 1 == self.n {
                 return nd.terminal;
             }
@@ -625,7 +728,7 @@ impl BoxTree {
             if level == dim && k == iv.len() {
                 entries.push(BinaryEntry { node, lens: *lens });
             }
-            let nd = self.nodes[node as usize];
+            let nd = self.node(node);
             if last {
                 if nd.terminal {
                     scratch.set(level, iv.truncate(k));
@@ -711,7 +814,7 @@ impl BoxTree {
         scratch: &mut DyadicBox,
         visit: &mut impl FnMut(&DyadicBox),
     ) {
-        let nd = self.nodes[node as usize];
+        let nd = self.node(node);
         // Any box whose component ends at `prefix` is prefix-comparable
         // with the target here by construction of the walk.
         if dim + 1 == self.n {
@@ -766,7 +869,7 @@ impl BoxTree {
         // Visit every prefix of `iv` from λ down to `iv` itself.
         for k in 0..=iv.len() {
             let prefix = iv.truncate(k);
-            let nd = self.nodes[node as usize];
+            let nd = self.node(node);
             if dim + 1 == self.n {
                 if nd.terminal {
                     scratch.set(dim, prefix);
@@ -815,7 +918,7 @@ impl BoxTree {
         scratch: &mut DyadicBox,
         out: &mut Vec<DyadicBox>,
     ) {
-        let nd = self.nodes[node as usize];
+        let nd = self.node(node);
         if dim + 1 == self.n {
             if nd.terminal {
                 scratch.set(dim, prefix);
@@ -856,14 +959,14 @@ impl BoxStore for BoxTree {
     fn mem_stats(&self) -> obs::MemStats {
         // Every node has exactly one parent link (child or `next`), so
         // the arena is a tree rooted at `root` and one stack walk visits
-        // each node once.
+        // each node once. Implicit leaves are not nodes: no load, no depth.
         let mut max_depth = 0u64;
         let mut stack: Vec<(u32, u64)> = vec![(self.root, 0)];
         while let Some((id, d)) = stack.pop() {
             max_depth = max_depth.max(d);
             let node = &self.nodes[id as usize];
             for link in [node.children[0], node.children[1], node.next] {
-                if link != NONE {
+                if link != NONE && link != LEAF {
                     stack.push((link, d + 1));
                 }
             }
@@ -934,7 +1037,7 @@ impl FromIterator<DyadicBox> for BoxTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::FrontierStack;
+    use crate::store::{lens_key_of_box, FrontierStack};
     use dyadic::Space;
 
     fn b(s: &str) -> DyadicBox {
@@ -1153,6 +1256,206 @@ mod tests {
             frontiers.pop();
             assert!(frontiers.is_empty());
         }
+    }
+
+    /// Every stored-set view of `t` agrees with the box list `set`.
+    fn assert_holds(t: &BoxTree, set: &[DyadicBox]) {
+        let mut want = set.to_vec();
+        want.sort();
+        want.dedup();
+        let mut got = t.iter_boxes();
+        got.sort();
+        assert_eq!(got, want, "stored set");
+        assert_eq!(t.len(), want.len());
+        for bx in &want {
+            assert!(t.contains_exact(bx), "{bx} stored");
+            assert!(t.covers(bx), "{bx} covered");
+        }
+    }
+
+    #[test]
+    fn lambda_tail_ends_take_no_node() {
+        // One box per (n, level of its last non-λ component): the store
+        // holds a node for every position before the λ-tail starts and
+        // none from there on. The root always stays a node.
+        for n in 1..=3usize {
+            for t0 in 0..n {
+                let mut bx = DyadicBox::universe(n);
+                for i in 0..t0 {
+                    bx.set(i, DyadicInterval::from_bits((i % 2) as u64, (i % 2) as u8));
+                }
+                bx.set(t0, DyadicInterval::from_bits(0b01, 2));
+                let before_tail: usize =
+                    (0..t0).map(|i| bx.get(i).len() as usize + 1).sum::<usize>() + 2;
+                let mut t = BoxTree::new(n);
+                assert!(t.insert(&bx));
+                assert_eq!(t.node_count(), before_tail, "n={n} t0={t0} {bx}");
+                assert_holds(&t, &[bx]);
+                assert_eq!(t.find_containing(&bx), Some(bx));
+                let mut inner = bx;
+                inner.set(n - 1, inner.get(n - 1).child(1));
+                assert_eq!(t.find_containing(&inner), Some(bx), "n={n} t0={t0}");
+                assert_eq!(t.mem_stats().nodes, before_tail as u64);
+            }
+            // The universe box: its tail starts at the root.
+            let mut t = BoxTree::new(n);
+            assert!(t.insert(&DyadicBox::universe(n)));
+            assert_eq!(t.node_count(), 1, "n={n} universe");
+            assert_holds(&t, &[DyadicBox::universe(n)]);
+            assert!(!t.insert(&DyadicBox::universe(n)));
+        }
+    }
+
+    #[test]
+    fn duplicate_leaf_insert_reports_false() {
+        let mut t = BoxTree::new(2);
+        assert!(t.insert(&b("0,λ")));
+        let nodes = t.node_count();
+        // From the cursor's resume point…
+        assert!(!t.insert(&b("0,λ")));
+        // …and on a fresh walk from the root.
+        assert!(t.insert(&b("1,1")));
+        assert!(!t.insert(&b("0,λ")));
+        assert!(!t.insert(&b("1,1")));
+        // ⟨1,1⟩ adds "1" and its level-1 root; its end is a leaf.
+        assert_eq!(t.node_count(), nodes + 2);
+        assert_holds(&t, &[b("0,λ"), b("1,1")]);
+    }
+
+    #[test]
+    fn leaves_become_nodes_only_when_passed_through() {
+        let cases: [&[&str]; 3] = [
+            // The leaf hangs off the cursor's resume point (⟨00,λ⟩'s
+            // divergence node "0").
+            &["01,λ", "00,λ", "011,λ", "01,1"],
+            // The leaf is reached on a walk diverging at the root.
+            &["0,λ", "1,λ", "01,1", "0,0"],
+            // A leaf whose parent is a leaf: ⟨0,λ⟩'s tail is "0" then the
+            // level-1 root, and ⟨0,1⟩ must pass through both.
+            &["0,λ", "0,1", "0,λ", "0,10"],
+        ];
+        for boxes in cases {
+            let mut t = BoxTree::new(2);
+            let mut set = Vec::new();
+            for s in boxes {
+                let bx = b(s);
+                assert_eq!(t.insert(&bx), !set.contains(&bx), "{boxes:?}: {s}");
+                set.push(bx);
+                assert_holds(&t, &set);
+                for probe in ["λ,λ", "0,λ", "01,1", "011,11", "0,10", "00,0", "1,0"] {
+                    let probe = b(probe);
+                    let want = set
+                        .iter()
+                        .filter(|c| c.contains(&probe))
+                        .min_by_key(|c| lens_key_of_box(c, 1))
+                        .copied();
+                    assert_eq!(t.find_containing(&probe), want, "{boxes:?} {probe}");
+                }
+            }
+        }
+        // The leaf-under-leaf case in numbers: ⟨0,λ⟩ is the root plus a
+        // leaf; ⟨0,1⟩ turns "0" and the level-1 root into nodes and ends
+        // in a leaf of its own.
+        let mut t = BoxTree::new(2);
+        t.insert(&b("0,λ"));
+        assert_eq!(t.node_count(), 1);
+        t.insert(&b("0,1"));
+        assert_eq!(t.node_count(), 3);
+        assert_eq!(t.find_containing(&b("0,11")), Some(b("0,λ")));
+    }
+
+    #[test]
+    fn tracked_probes_survive_leaf_promotion() {
+        // Directed: a frontier saved at the level-1 root under "1", then
+        // an insert that turns ⟨1,0⟩'s leaf (a child of a frontier entry)
+        // into a node on its way to ⟨1,01⟩.
+        let mut t = BoxTree::new(2);
+        t.insert(&b("1,0"));
+        let parent = b("1,λ");
+        let mut probe = DescentProbe::new();
+        assert_eq!(t.find_containing_tracked(&parent, 1, &mut probe), None);
+        let mut frontiers = FrontierStack::new();
+        frontiers.push_saved(&probe);
+        t.insert(&b("1,01"));
+        for bit in 0..2u8 {
+            let child = parent.with(1, parent.get(1).child(bit));
+            let mut restored = DescentProbe::new();
+            assert!(frontiers.restore_top(&parent, &mut restored));
+            assert_eq!(
+                t.find_containing_tracked(&child, 1, &mut restored),
+                t.find_containing(&child),
+                "bit {bit}"
+            );
+        }
+        assert_eq!(t.find_containing(&b("1,0")), Some(b("1,0")));
+
+        // Randomized: λ-heavy boxes, so most inserts end in leaves and
+        // many later ones promote them, racing tracked chains and
+        // saved-frontier restores.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(41);
+        let rand_box = |rng: &mut rand::rngs::StdRng| {
+            let mut bx = DyadicBox::universe(3);
+            let t0 = rng.gen_range(0..3);
+            for i in 0..=t0 {
+                let len = rng.gen_range(0..=3u8);
+                bx.set(
+                    i,
+                    DyadicInterval::from_bits(rng.gen_range(0..(1u64 << len)), len),
+                );
+            }
+            bx
+        };
+        for trial in 0..300 {
+            let mut t = BoxTree::new(3);
+            for _ in 0..rng.gen_range(0..12) {
+                t.insert(&rand_box(&mut rng));
+            }
+            let dim = rng.gen_range(0..3);
+            let mut target = rand_box(&mut rng);
+            for i in dim + 1..3 {
+                target.set(i, DyadicInterval::lambda());
+            }
+            let mut probe = DescentProbe::new();
+            let mut frontiers = FrontierStack::new();
+            for k in 0..=target.get(dim).len() {
+                let q = target.with(dim, target.get(dim).truncate(k));
+                let got = t.find_containing_tracked(&q, dim, &mut probe);
+                assert_eq!(got, t.find_containing(&q), "trial {trial} k={k}");
+                if got.is_some() {
+                    break;
+                }
+                frontiers.clear();
+                frontiers.push_saved(&probe);
+                for _ in 0..rng.gen_range(0..4) {
+                    t.insert(&rand_box(&mut rng));
+                }
+                // The sibling through the restored frontier.
+                if k < target.get(dim).len() {
+                    let sib_bit =
+                        1 - ((target.get(dim).bits() >> (target.get(dim).len() - 1 - k)) & 1);
+                    let sib = q.with(dim, q.get(dim).child(sib_bit as u8));
+                    let mut restored = DescentProbe::new();
+                    assert!(frontiers.restore_top(&q, &mut restored));
+                    assert_eq!(
+                        t.find_containing_tracked(&sib, dim, &mut restored),
+                        t.find_containing(&sib),
+                        "trial {trial} k={k}: restored sibling"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn figure_16_store_node_count() {
+        // root, "1", "10", the level-1 root under "10", and ⟨10,0⟩'s end
+        // plus "00" (promoted by ⟨10,001⟩); ⟨0,λ⟩, ⟨10,1⟩ and ⟨10,001⟩
+        // end in leaves. With one node per position it was 10.
+        let t: BoxTree = [b("0,λ"), b("10,1"), b("10,0"), b("10,001")]
+            .into_iter()
+            .collect();
+        assert_eq!(t.node_count(), 6);
     }
 
     #[test]

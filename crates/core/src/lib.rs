@@ -64,3 +64,6 @@ pub use engine::{
 pub use parallel::DEFAULT_MERGE_CAP;
 pub use stats::TetrisStats;
 pub use trace::TraceEvent;
+
+/// The most join variables (dimensions) a query may have.
+pub use dyadic::MAX_DIMS;

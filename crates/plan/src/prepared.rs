@@ -14,7 +14,7 @@ use baseline::JoinSpec;
 use obs::ObsSink;
 use query::Hypergraph;
 use relation::{IndexedRelation, JoinOracle, Relation};
-use tetris_core::{prepare_with_config, TetrisConfig, TetrisOutput, TetrisStats};
+use tetris_core::{prepare_with_config, TetrisConfig, TetrisOutput, TetrisStats, MAX_DIMS};
 
 use crate::ir::{QueryPlan, QueryPlanBuilder, SaoSource};
 
@@ -139,7 +139,9 @@ impl PreparedQuery {
     }
 
     /// Build from query text like `"R(A,B), S(B,C), T(A,C)"`, resolving
-    /// each relation symbol through `resolver`.
+    /// each relation symbol through `resolver`. Errors on a parse
+    /// failure, an atom whose attribute count differs from its relation's
+    /// arity, or more than [`MAX_DIMS`] distinct variables.
     ///
     /// ```
     /// use plan::PreparedQuery;
@@ -156,6 +158,12 @@ impl PreparedQuery {
         resolver: impl Fn(&str) -> &'a Relation,
     ) -> Result<PreparedQuery, String> {
         let parsed = query::parse_query(text)?;
+        if parsed.attrs.len() > MAX_DIMS {
+            return Err(format!(
+                "query has {} distinct variables but at most {MAX_DIMS} are supported",
+                parsed.attrs.len()
+            ));
+        }
         let mut builder = Self::builder(width);
         for atom in &parsed.atoms {
             let rel = resolver(&atom.name);
@@ -376,6 +384,29 @@ mod tests {
             vec![vec![0, 1], vec![1, 2], vec![2, 3]],
         );
         PreparedQuery::from_query_text("R(A,B), S(B,C)", 3, |_| &r).expect("parses")
+    }
+
+    #[test]
+    fn too_many_variables_is_an_error_not_a_panic() {
+        // A 9-variable path query: one past MAX_DIMS.
+        let r = Relation::new(Schema::uniform(&["X", "Y"], 3), vec![vec![0, 1]]);
+        let vars: Vec<String> = (0..=MAX_DIMS).map(|i| format!("V{i}")).collect();
+        let text = vars
+            .windows(2)
+            .enumerate()
+            .map(|(i, w)| format!("R{i}({},{})", w[0], w[1]))
+            .collect::<Vec<_>>()
+            .join(", ");
+        let err = PreparedQuery::from_query_text(&text, 3, |_| &r)
+            .err()
+            .expect("9 variables must be rejected");
+        assert!(err.contains("9 distinct variables"), "{err}");
+        assert!(err.contains(&MAX_DIMS.to_string()), "{err}");
+        // One fewer variable still prepares and runs.
+        let shorter = text.rsplit_once(", ").unwrap().0;
+        let join = PreparedQuery::from_query_text(shorter, 3, |_| &r).expect("8 variables");
+        assert_eq!(join.sao().len(), MAX_DIMS);
+        join.run();
     }
 
     #[test]

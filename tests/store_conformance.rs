@@ -23,7 +23,8 @@
 //! tuple, so a failure is reproducible with a one-line filter.
 
 use boxstore::{
-    ArenaBoxTree, BoxStore, BoxTree, DescentProbe, ShardedBoxStore, StoreTuning, REPAIR_CAP,
+    ArenaBoxTree, BoxStore, BoxTree, DescentProbe, FrontierStack, ShardedBoxStore, StoreTuning,
+    REPAIR_CAP,
 };
 use boxtrie::RadixBoxTrie;
 use dyadic::{DyadicBox, DyadicInterval, MAX_DIMS};
@@ -340,6 +341,124 @@ fn clear_at_wrap_grid<S: BoxStore>(backend: &str) {
         shards: 4,
     };
     clear_at_wrap_run::<ShardedBoxStore<S>>(&format!("sharded(4)-{backend}"), sharded);
+}
+
+/// Directed implicit-leaf scenario: a scripted insert sequence that
+/// ends λ-tails at every level (and at the root), re-inserts leaves,
+/// and turns leaves into nodes from the insert cursor's resume point,
+/// from a fresh path and under another leaf. After every insert an
+/// engine-shaped tracked chain runs with a racing insert that passes
+/// through the chain's frontier; the racer's sibling is probed through
+/// a saved-and-restored frontier. Every answer is checked against the
+/// reference.
+fn implicit_leaves_run<S: BoxStore>(backend: &str, tuning: StoreTuning) {
+    let ring = tuning.insert_ring;
+    let parse = |s: &str| DyadicBox::parse(s).unwrap();
+    let mut store = S::with_tuning(3, tuning);
+    let mut naive = NaiveStore::default();
+    let mut probe: DescentProbe<S::Entry> = DescentProbe::new();
+    let mut frontiers = FrontierStack::new();
+    // (inserted box, then a tracked chain's probed dimension and target)
+    let script: [(&str, usize, &str); 12] = [
+        ("01,λ,λ", 0, "011,λ,λ"),   // tail ends on level 0
+        ("00,λ,λ", 0, "001,λ,λ"),   // sibling leaf under the same node
+        ("011,λ,λ", 0, "0111,λ,λ"), // promotes ⟨01,λ,λ⟩ from the resume point
+        ("01,λ,λ", 1, "01,01,λ"),   // duplicate leaf, reached on a fresh path
+        ("1,0,λ", 1, "1,01,λ"),     // tail ends on level 1
+        ("1,0,1", 2, "1,0,11"),     // leaf under leaf: "1,0"'s end, level-2 root
+        ("1,0,λ", 2, "1,0,0"),      // duplicate of a promoted leaf
+        ("0,1,10", 2, "0,1,101"),   // tail ends on level 2
+        ("0,1,101", 2, "0,1,1011"), // promotes ⟨0,1,10⟩'s terminal leaf
+        ("λ,1,λ", 1, "1,11,λ"),     // tail ends on level 1 under the root
+        ("λ,1,0", 2, "λ,1,01"),     // promotes ⟨λ,1,λ⟩'s leaf chain
+        ("λ,λ,λ", 0, "10,λ,λ"),     // the universe box: tail at the root
+    ];
+    let untracked = [
+        "λ,λ,λ", "0,λ,λ", "011,0,1", "1,0,11", "0,1,101", "11,1,0", "λ,1,01", "00,01,1",
+    ];
+    for (step, &(insert, dim, target)) in script.iter().enumerate() {
+        let ctx =
+            |what: &str| format!("backend={backend} ring={ring} step={step} ({insert}): {what}");
+        let bx = parse(insert);
+        assert_eq!(
+            store.insert(&bx),
+            naive.insert(&bx),
+            "{}",
+            ctx("insert novelty")
+        );
+        assert_eq!(
+            sorted_boxes(&store),
+            naive.sorted(),
+            "{}",
+            ctx("stored set")
+        );
+        for q in untracked.map(parse) {
+            assert_eq!(
+                store.find_containing(&q),
+                naive.find_containing(&q),
+                "{}",
+                ctx(&format!("untracked witness for {q}"))
+            );
+        }
+        let target = parse(target);
+        let full = target.get(dim);
+        for k in 0..=full.len() {
+            let q = target.with(dim, full.truncate(k));
+            let got = store.find_containing_tracked(&q, dim, &mut probe);
+            assert_eq!(
+                got,
+                naive.find_containing(&q),
+                "{}",
+                ctx(&format!("tracked witness k={k}"))
+            );
+            if got.is_some() || k == full.len() {
+                break;
+            }
+            // Race: save the frontier, insert a box through the position
+            // below it on the sibling side, then probe that sibling
+            // through the restored frontier.
+            frontiers.clear();
+            frontiers.push_saved(&probe);
+            let sib_bit = 1 - ((full.bits() >> (full.len() - 1 - k)) & 1) as u8;
+            let sib = q.with(dim, q.get(dim).child(sib_bit));
+            let racer = sib.with(dim, sib.get(dim).child(1));
+            assert_eq!(
+                store.insert(&racer),
+                naive.insert(&racer),
+                "{}",
+                ctx("racer")
+            );
+            let mut restored: DescentProbe<S::Entry> = DescentProbe::new();
+            assert!(frontiers.restore_top(&q, &mut restored));
+            assert_eq!(
+                store.find_containing_tracked(&sib, dim, &mut restored),
+                naive.find_containing(&sib),
+                "{}",
+                ctx(&format!("restored sibling k={k}"))
+            );
+        }
+    }
+    assert_eq!(
+        sorted_boxes(&store),
+        naive.sorted(),
+        "backend={backend} ring={ring}: final stored set"
+    );
+}
+
+#[test]
+fn implicit_leaves_box_tree() {
+    for ring in [REPAIR_CAP as usize, 256] {
+        let tuning = StoreTuning {
+            insert_ring: ring,
+            ..StoreTuning::default()
+        };
+        implicit_leaves_run::<BoxTree>("binary", tuning);
+    }
+    let sharded = StoreTuning {
+        insert_ring: 256,
+        shards: 4,
+    };
+    implicit_leaves_run::<ShardedBoxStore<BoxTree>>("sharded(4)-binary", sharded);
 }
 
 #[test]
