@@ -1,9 +1,7 @@
-//! Microbenchmark: the box-store backends (knowledge base) — insert and
-//! containment-query throughput, the Õ(1) operations of Lemma 4.5,
-//! A/B'd across the binary tree and the radix trie.
+//! Microbenchmark: the knowledge base ([`BoxTree`]) — insert and
+//! containment-query throughput, the Õ(1) operations of Lemma 4.5.
 
-use boxstore::{BoxStore, BoxTree, DescentProbe};
-use boxtrie::RadixBoxTrie;
+use boxstore::{BoxTree, DescentProbe};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dyadic::{DyadicBox, DyadicInterval};
 
@@ -32,32 +30,24 @@ fn make_boxes(n: usize, d: u8, count: usize, seed: u64) -> Vec<DyadicBox> {
         .collect()
 }
 
-fn bench_backend<S: BoxStore>(group: &mut criterion::BenchmarkGroup<'_>, tag: &str) {
+fn bench_store(c: &mut Criterion) {
+    let mut group = c.benchmark_group("box_store");
+    group.sample_size(20);
     for &count in &[1_000usize, 10_000] {
         let boxes = make_boxes(3, 16, count, 99);
-        group.bench_with_input(
-            BenchmarkId::new(format!("insert/{tag}"), count),
-            &count,
-            |b, _| {
-                b.iter(|| {
-                    let mut t = S::new(3);
-                    for bx in &boxes {
-                        t.insert(bx);
-                    }
-                    t.len()
-                })
-            },
-        );
-        let tree: S = {
-            let mut t = S::new(3);
-            for bx in &boxes {
-                t.insert(bx);
-            }
-            t
-        };
+        group.bench_with_input(BenchmarkId::new("insert", count), &count, |b, _| {
+            b.iter(|| {
+                let mut t = BoxTree::new(3);
+                for bx in &boxes {
+                    t.insert(bx);
+                }
+                t.len()
+            })
+        });
+        let tree: BoxTree = boxes.iter().copied().collect();
         let probes = make_boxes(3, 16, 1000, 123);
         group.bench_with_input(
-            BenchmarkId::new(format!("find_containing/{tag}"), count),
+            BenchmarkId::new("find_containing", count),
             &count,
             |b, _| {
                 b.iter(|| {
@@ -70,7 +60,7 @@ fn bench_backend<S: BoxStore>(group: &mut criterion::BenchmarkGroup<'_>, tag: &s
         );
         // The engine's actual probe shape: descend one path, tracked.
         group.bench_with_input(
-            BenchmarkId::new(format!("tracked_descent/{tag}"), count),
+            BenchmarkId::new("tracked_descent", count),
             &count,
             |b, _| {
                 b.iter(|| {
@@ -91,13 +81,6 @@ fn bench_backend<S: BoxStore>(group: &mut criterion::BenchmarkGroup<'_>, tag: &s
             },
         );
     }
-}
-
-fn bench_store(c: &mut Criterion) {
-    let mut group = c.benchmark_group("box_store");
-    group.sample_size(20);
-    bench_backend::<BoxTree>(&mut group, "binary");
-    bench_backend::<RadixBoxTrie>(&mut group, "radix");
     group.finish();
 }
 

@@ -39,14 +39,11 @@
 //! every row of a profile file: each histogram's total must equal its
 //! counter column (`depth_hist` ↔ `resolutions`, `walk_hist` ↔
 //! `kb_queries`, `repair_hist` ↔ `repairs`, `donate_hist` ↔
-//! `donations`), sequential monolithic rows must balance `advances +
-//! repairs + full_walks == kb_queries` exactly, and the memory ledger
-//! must be present and sane. Sharded rows (`shards > 1`) only bound the
-//! probe sum from above: the `ShardedBoxStore` wrapper answers
-//! boundary-spill hits with an *untracked* inner lookup, so tracked
-//! probes undercount queries there. Parallel rows bound it at
-//! `2·kb_queries` (frozen base + overlay shard per query) and, when
-//! monolithic, from below at `kb_queries`.
+//! `donations`), sequential rows must balance `advances + repairs +
+//! full_walks == kb_queries` exactly, and the memory ledger must be
+//! present and sane. Parallel rows bound the probe sum between
+//! `kb_queries` and `2·kb_queries` (frozen base + overlay shard per
+//! query).
 //!
 //! Rows carrying an `attr` cell (the SAO-prefix attribution ledger,
 //! written since PR 10) additionally must balance: the per-prefix
@@ -63,7 +60,7 @@
 //! line is re-parsed with the same flat-object JSONL parser the
 //! snapshots use. `--check-provenance` validates a `t2_graphs
 //! --provenance` file: every `t2-provenance` row must carry the replay
-//! fields (query, generator seed, backend/shards/threads, counters) and
+//! fields (query, generator seed, descent/threads, counters) and
 //! an attribution ledger balancing its own `resolutions` column.
 //! Provenance rows are replay metadata, never ratchet material —
 //! `compare` skips them with an explicit report line just like profile
@@ -180,11 +177,11 @@ fn load(path: &str) -> Vec<Row> {
 
 /// Identity of a row for cross-file matching. The `graph` column (the
 /// t2-graphs family name) folds into the experiment key so random/skewed/
-/// power-law rows at the same N stay distinct, the `backend` column (the
-/// box-store A/B sweep) folds in so binary and radix rows can never
-/// silently collide, and the `threads` column (the parallel-descent
-/// sweep) folds in so each worker count is gated against its own
-/// baseline row.
+/// power-law rows at the same N stay distinct, and the `threads` column
+/// (the parallel-descent sweep) folds in so each worker count is gated
+/// against its own baseline row. Older snapshots also carry the box-store
+/// A/B columns `backend` and `shards`; their non-default values fold in,
+/// so rows of removed stores never match a fresh sweep.
 fn key(row: &Row) -> Option<(String, u64, u64)> {
     let mut exp = row_field(row, "experiment")?.as_str()?.to_string();
     // The query-zoo column folds in only for non-triangle rows, so the
@@ -198,16 +195,20 @@ fn key(row: &Row) -> Option<(String, u64, u64)> {
     if let Some(g) = row_field(row, "graph").and_then(|v| v.as_str()) {
         exp = format!("{exp}:{g}");
     }
+    // A row with no `backend` column keys as a `binary` row: the binary
+    // store is the only one left, so fresh sweeps (which no longer write
+    // the column) match the snapshots' binary rows exactly.
     if let Some(b) = row_field(row, "backend").and_then(|v| v.as_str()) {
-        exp = format!("{exp}:{b}");
+        if b != "binary" {
+            exp = format!("{exp}:{b}");
+        }
     }
     if let Some(t) = row_field(row, "threads").and_then(|v| v.as_num()) {
         exp = format!("{exp}:t{t}");
     }
-    // The shards column (subcube-partitioned base stores) folds in only
-    // when it is not the monolithic default, so `shards=1` rows keep the
-    // exact keys of pre-sharding snapshots and stay gate-comparable
-    // against them.
+    // The shards column (the removed subcube-partitioned store) folds in
+    // only when it is not the monolithic default, so `shards=1` rows
+    // keep the exact keys of fresh sweeps and stay gate-comparable.
     if let Some(s) = row_field(row, "shards").and_then(|v| v.as_num()) {
         if s != 1.0 {
             exp = format!("{exp}:s{s}");
@@ -416,7 +417,6 @@ fn check_profile(rows: &[Row]) -> Result<String, String> {
             continue;
         };
         let threads = num("threads").unwrap_or(1.0);
-        let shards = num("shards").unwrap_or(1.0);
         // Histogram totals equal their counter columns — exact in every
         // mode (each observation site fires once per counted event).
         for (hist_col, counter_col, counter) in [
@@ -442,19 +442,11 @@ fn check_profile(rows: &[Row]) -> Result<String, String> {
             + num("full_walks").unwrap_or(-1.0);
         if threads == 1.0 {
             // The sequential ledger-balance wall: every KB query is
-            // answered by exactly one of advance / repair / full walk —
-            // except through the sharded wrapper, whose boundary-spill
-            // hits answer untracked, so tracked probes only bound from
-            // above there.
-            if shards == 1.0 && probes != kb_queries {
+            // answered by exactly one of advance / repair / full walk.
+            if probes != kb_queries {
                 fail(format!(
                     "sequential probes (advances+repairs+full_walks = {probes}) \
                      != kb_queries {kb_queries}"
-                ));
-            }
-            if probes > kb_queries {
-                fail(format!(
-                    "sequential probes {probes} exceed kb_queries {kb_queries}"
                 ));
             }
             if num("donations") != Some(0.0) {
@@ -465,9 +457,8 @@ fn check_profile(rows: &[Row]) -> Result<String, String> {
             }
         } else {
             // Parallel probes hit the frozen base and the overlay shard:
-            // at most two tracked probes per KB query, at least one when
-            // the stores are monolithic (sharded spill hits untracked).
-            if probes > 2.0 * kb_queries || (shards == 1.0 && probes < kb_queries) {
+            // at least one and at most two tracked probes per KB query.
+            if probes > 2.0 * kb_queries || probes < kb_queries {
                 fail(format!(
                     "parallel probes {probes} outside [kb_queries, 2·kb_queries] \
                      = [{kb_queries}, {}]",
@@ -534,8 +525,8 @@ fn check_profile(rows: &[Row]) -> Result<String, String> {
 /// rows: the `attr` cell parses, its per-prefix resolutions sum to the
 /// row's `resolutions` column **exactly** (the attribution site is
 /// adjacent to the resolution counter and worker ledgers merge
-/// losslessly, so this holds in every backend × sharding × thread
-/// mode), re-resolutions never exceed resolutions (each re-derivation
+/// losslessly, so this holds in every descent mode and thread count),
+/// re-resolutions never exceed resolutions (each re-derivation
 /// was first a resolution), attributed inserts never exceed
 /// `kb_inserts` (preload bulk builds are deliberately unattributed),
 /// and repair hits never exceed the row's repair counter (a hit is a
@@ -643,7 +634,9 @@ fn check_chrome(text: &str) -> Result<String, String> {
 /// Fields a provenance row must carry to replay its run: the workload
 /// half stamped by `t2_graphs` (generator, seed, snapshot) and the
 /// config + counter-ledger half stamped by `plan::PlanRun::provenance`.
-const REPLAY_FIELDS: [&str; 21] = [
+/// Older rows may also carry the removed `backend`/`shards` fields; extra
+/// fields never fail a row.
+const REPLAY_FIELDS: [&str; 19] = [
     "graph",
     "edges",
     "seed",
@@ -652,10 +645,8 @@ const REPLAY_FIELDS: [&str; 21] = [
     "sao",
     "width",
     "input_tuples",
-    "backend",
     "descent",
     "threads",
-    "shards",
     "preload",
     "obs",
     "preload_s",
@@ -687,12 +678,10 @@ fn check_provenance(rows: &[Row]) -> Result<String, String> {
         };
         let n = |k: &str| row_field(row, k).and_then(|v| v.as_num()).unwrap_or(0.0);
         let label = format!(
-            "row {} {}/{}/{} s{} t{}",
+            "row {} {}/{} t{}",
             i + 1,
             s("query"),
             s("graph"),
-            s("backend"),
-            n("shards"),
             n("threads"),
         );
         let mut fail = |msg: String| failures.push(format!("{label}: {msg}"));
@@ -884,10 +873,10 @@ mod tests {
 
     #[test]
     fn backend_column_keys_ab_rows_separately() {
-        // Binary and radix rows share (experiment:graph, N, threads); the
-        // backend column must keep them from colliding — without it the
-        // first match would gate the radix candidate against the binary
-        // baseline (or vice versa) silently.
+        // Snapshot binary and radix rows share (experiment:graph, N,
+        // threads); the backend column must keep them from colliding —
+        // without it the first match would gate a radix row against a
+        // binary one (or vice versa) silently.
         let base = rows(
             r#"
 {"experiment":"t2-graphs","graph":"skewed","backend":"binary","threads":1,"edges":100000,"N":300000,"triangles":421,"tetris_s":1.5,"resolutions":900000}
@@ -901,7 +890,7 @@ mod tests {
 "#,
         );
         let report = compare(&base, &cand, 2.0, Gate::T2Graphs).unwrap();
-        assert!(report.contains("t2-graphs:skewed:binary:t1"), "{report}");
+        assert!(report.contains("t2-graphs:skewed:t1"), "{report}");
         assert!(report.contains("t2-graphs:skewed:radix:t1"), "{report}");
         // A radix-only regression fails only the radix key.
         let slow = rows(
@@ -912,13 +901,18 @@ mod tests {
         );
         let err = compare(&base, &slow, 2.0, Gate::T2Graphs).unwrap_err();
         assert!(err.contains("gate: t2-graphs:skewed:radix:t1"), "{err}");
-        assert!(!err.contains("gate: t2-graphs:skewed:binary:t1"), "{err}");
-        // Rows without a backend column (older snapshots) keep their old
-        // keys, so pre-backend baselines still parse and match.
-        let old = rows(
-            r#"{"experiment":"t2-graphs","graph":"skewed","threads":1,"edges":100000,"N":300000,"triangles":421,"tetris_s":1.5,"resolutions":900000}"#,
+        assert!(!err.contains("gate: t2-graphs:skewed:t1"), "{err}");
+        // Rows without a backend column (fresh sweeps, and snapshots
+        // older than the A/B) key as binary rows, so they gate against
+        // the snapshot's binary rows and never its radix ones.
+        let fresh = rows(
+            r#"{"experiment":"t2-graphs","graph":"skewed","threads":1,"edges":100000,"N":300000,"triangles":421,"tetris_s":1.6,"resolutions":900000}"#,
         );
-        assert_eq!(key(&old[0]).unwrap().0, "t2-graphs:skewed:t1");
+        assert_eq!(key(&fresh[0]).unwrap().0, "t2-graphs:skewed:t1");
+        assert_eq!(key(&fresh[0]), key(&base[0]));
+        let report = compare(&base, &fresh, 2.0, Gate::T2Graphs).unwrap();
+        assert!(report.contains("tetris_s 1.5000 -> 1.6000"), "{report}");
+        assert!(!report.contains("radix"), "{report}");
     }
 
     #[test]
@@ -988,8 +982,8 @@ mod tests {
     /// both carrying balanced attribution cells (Σ prefix resolutions
     /// == resolutions, inserts ≤ kb_inserts, repair hits ≤ repairs).
     const PROFILE_OK: &str = r#"
-{"experiment":"t2-profile","query":"triangle","graph":"skewed","backend":"binary","threads":1,"shards":1,"edges":100000,"N":300000,"preload_s":0.5,"solve_s":1.0,"task_spans":0,"task_secs":0,"resolutions":4,"kb_queries":8,"kb_inserts":5,"advances":5,"repairs":2,"full_walks":1,"donations":0,"depth_hist":"0,1,3","walk_hist":"4,2,2","repair_hist":"0,2","donate_hist":0,"mem_nodes":10,"mem_bytes":160,"mem_depth":5,"attr":"k8|3:2,1,2,0|s:2,0,1,1"}
-{"experiment":"t2-profile","query":"triangle","graph":"skewed","backend":"binary","threads":4,"shards":1,"edges":100000,"N":300000,"preload_s":0.5,"solve_s":0.4,"task_spans":3,"task_secs":0.9,"resolutions":4,"kb_queries":8,"kb_inserts":5,"advances":9,"repairs":0,"full_walks":2,"donations":2,"depth_hist":"0,1,3","walk_hist":"4,2,2","repair_hist":0,"donate_hist":2,"mem_nodes":10,"mem_bytes":160,"mem_depth":5,"attr":"k8|7:4,1,3,0"}
+{"experiment":"t2-profile","query":"triangle","graph":"skewed","threads":1,"edges":100000,"N":300000,"preload_s":0.5,"solve_s":1.0,"task_spans":0,"task_secs":0,"resolutions":4,"kb_queries":8,"kb_inserts":5,"advances":5,"repairs":2,"full_walks":1,"donations":0,"depth_hist":"0,1,3","walk_hist":"4,2,2","repair_hist":"0,2","donate_hist":0,"mem_nodes":10,"mem_bytes":160,"mem_depth":5,"attr":"k8|3:2,1,2,0|s:2,0,1,1"}
+{"experiment":"t2-profile","query":"triangle","graph":"skewed","threads":4,"edges":100000,"N":300000,"preload_s":0.5,"solve_s":0.4,"task_spans":3,"task_secs":0.9,"resolutions":4,"kb_queries":8,"kb_inserts":5,"advances":9,"repairs":0,"full_walks":2,"donations":2,"depth_hist":"0,1,3","walk_hist":"4,2,2","repair_hist":0,"donate_hist":2,"mem_nodes":10,"mem_bytes":160,"mem_depth":5,"attr":"k8|7:4,1,3,0"}
 "#;
 
     #[test]
@@ -997,8 +991,8 @@ mod tests {
         let report = check_profile(&rows(PROFILE_OK)).unwrap();
         assert!(report.contains("2 profile rows"), "{report}");
         // Sequential and parallel rows key apart via the threads column.
-        assert!(report.contains("t2-profile:skewed:binary:t1"), "{report}");
-        assert!(report.contains("t2-profile:skewed:binary:t4"), "{report}");
+        assert!(report.contains("t2-profile:skewed:t1"), "{report}");
+        assert!(report.contains("t2-profile:skewed:t4"), "{report}");
         // The attribution report names each row's hottest prefixes, in
         // k-bit label form, hottest first.
         assert!(report.contains("hottest prefixes"), "{report}");
@@ -1063,22 +1057,17 @@ mod tests {
     }
 
     #[test]
-    fn check_profile_relaxes_sequential_balance_on_sharded_stores() {
-        // Same 7-probe deficit, but shards=4: the sharded wrapper answers
-        // boundary-spill hits untracked, so probes <= kb_queries is the
-        // invariant there — the row must pass.
-        let sharded = rows(
-            r#"{"experiment":"t2-profile","graph":"skewed","threads":1,"shards":4,"N":300000,"task_spans":0,"resolutions":4,"kb_queries":8,"advances":4,"repairs":2,"full_walks":1,"donations":0,"depth_hist":"0,1,3","walk_hist":"4,2,2","repair_hist":"0,2","donate_hist":0,"mem_nodes":10,"mem_bytes":160}"#,
-        );
-        let report = check_profile(&sharded).unwrap();
-        assert!(report.contains("1 profile rows"), "{report}");
-        // But the upper bound still holds: more tracked probes than KB
-        // queries is impossible sequentially, sharded or not.
-        let bad = rows(
-            r#"{"experiment":"t2-profile","graph":"skewed","threads":1,"shards":4,"N":300000,"task_spans":0,"resolutions":4,"kb_queries":8,"advances":7,"repairs":2,"full_walks":1,"donations":0,"depth_hist":"0,1,3","walk_hist":"4,2,2","repair_hist":"0,2","donate_hist":0,"mem_nodes":10,"mem_bytes":160}"#,
-        );
-        let err = check_profile(&bad).unwrap_err();
-        assert!(err.contains("exceed kb_queries"), "{err}");
+    fn check_profile_holds_old_sharded_rows_to_exact_balance() {
+        // A sequential row from an older snapshot that still carries a
+        // `shards` column gets no slack: a 7-probe deficit fails exactly
+        // like it does on a fresh row, and so does a surplus.
+        for probes in [r#""advances":4"#, r#""advances":7"#] {
+            let row = rows(&format!(
+                r#"{{"experiment":"t2-profile","graph":"skewed","threads":1,"shards":4,"N":300000,"task_spans":0,"resolutions":4,"kb_queries":8,{probes},"repairs":2,"full_walks":1,"donations":0,"depth_hist":"0,1,3","walk_hist":"4,2,2","repair_hist":"0,2","donate_hist":0,"mem_nodes":10,"mem_bytes":160}}"#
+            ));
+            let err = check_profile(&row).unwrap_err();
+            assert!(err.contains("!= kb_queries 8"), "{err}");
+        }
     }
 
     #[test]
@@ -1189,14 +1178,22 @@ mod tests {
     /// A replayable provenance row: every [`REPLAY_FIELDS`] entry plus a
     /// balanced attribution cell.
     const PROVENANCE_OK: &str = r#"
-{"experiment":"t2-provenance","graph":"skewed","edges":100000,"seed":48879,"snapshot":"-","query":"triangle","sao":"A,B,C","width":20,"input_tuples":300000,"backend":"binary","descent":"incremental","threads":1,"shards":1,"preload":1,"obs":"true","preload_s":0.5,"solve_s":1.0,"resolutions":4,"kb_queries":8,"kb_inserts":5,"probe_repairs":2,"outputs":421,"attr":"k8|3:2,1,2,0|s:2,0,1,1"}
+{"experiment":"t2-provenance","graph":"skewed","edges":100000,"seed":48879,"snapshot":"-","query":"triangle","sao":"A,B,C","width":20,"input_tuples":300000,"descent":"incremental","threads":1,"preload":1,"obs":"true","preload_s":0.5,"solve_s":1.0,"resolutions":4,"kb_queries":8,"kb_inserts":5,"probe_repairs":2,"outputs":421,"attr":"k8|3:2,1,2,0|s:2,0,1,1"}
 "#;
 
     #[test]
     fn check_provenance_passes_on_replayable_rows() {
         let report = check_provenance(&rows(PROVENANCE_OK)).unwrap();
         assert!(report.contains("1 provenance rows"), "{report}");
-        assert!(report.contains("triangle/skewed/binary"), "{report}");
+        assert!(report.contains("triangle/skewed t1"), "{report}");
+        // Older rows still carrying the removed backend/shards fields
+        // stay replayable.
+        let old = rows(&PROVENANCE_OK.replace(
+            "\"descent\"",
+            "\"backend\":\"binary\",\"shards\":1,\"descent\"",
+        ));
+        assert!(row_field(&old[0], "backend").is_some());
+        assert!(check_provenance(&old).is_ok());
     }
 
     #[test]

@@ -52,7 +52,7 @@ fn f2_tree_agm() {
         let cached = Tetris::preloaded(&oracle).run();
         let uncached = Tetris::preloaded(&oracle)
             .cache_resolvents(false)
-            .inline_outputs(true)
+            .descent(Descent::Incremental)
             .run();
         assert_eq!(cached.tuples.len(), uncached.tuples.len());
         let n = (inst.r.len() * 3) as f64;

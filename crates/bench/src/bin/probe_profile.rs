@@ -9,14 +9,13 @@
 //! `PlanRun` (no private timing or counting plumbing of its own), so it
 //! can never drift from what `t2_graphs --profile` records.
 //!
-//! Usage: `probe_profile [edges] [backend] [shards] [threads]`
+//! Usage: `probe_profile [edges] [threads]`
 //!
-//! Execution goes through the plan layer's single dispatcher
-//! ([`plan::PreparedQuery::execute`]); this bin contains no per-backend
-//! match.
+//! Execution goes through the plan layer
+//! ([`plan::PreparedQuery::execute`]).
 
 use obs::{Phase, Pow2Histogram};
-use tetris_join::tetris::{Backend, Descent, TetrisConfig};
+use tetris_join::tetris::{Descent, TetrisConfig};
 use tetris_join::triangles::prepared_triangle_join;
 use workload::graphs;
 
@@ -40,11 +39,7 @@ fn print_hist(name: &str, h: &Pow2Histogram, against: &str, total: u64) {
 fn main() {
     let arg = |i: usize| std::env::args().nth(i);
     let edges: usize = arg(1).and_then(|s| s.parse().ok()).unwrap_or(100_000);
-    let backend: Backend = arg(2)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(Backend::Binary);
-    let shards: usize = arg(3).and_then(|s| s.parse().ok()).unwrap_or(1);
-    let threads: usize = arg(4).and_then(|s| s.parse().ok()).unwrap_or(1);
+    let threads: usize = arg(2).and_then(|s| s.parse().ok()).unwrap_or(1);
     // Seed matches the t2_graphs big-tier skewed instance so counter
     // breakdowns line up with BENCH_pr*.json rows.
     let g = graphs::skewed_graph_with_edges(edges, 2, 0xBEEF);
@@ -52,14 +47,11 @@ fn main() {
     let join = prepared_triangle_join(&rel);
     let cfg = TetrisConfig {
         preload: true,
-        backend,
-        shards,
         descent: if threads == 1 {
             Descent::Incremental
         } else {
             Descent::Parallel { threads }
         },
-        preload_threads: threads,
         obs: true,
         // Trace sequential runs so the flight-recorder accounting has
         // something to report; the default bounded ring makes this safe
@@ -71,7 +63,7 @@ fn main() {
     let s = &run.output.stats;
     let l = run.output.obs.as_ref().expect("obs was requested");
     let mem = run.mem.expect("obs was requested");
-    println!("edges={edges} backend={backend} shards={shards} threads={threads}");
+    println!("edges={edges} threads={threads}");
     println!(
         "preload_s={:.3} solve_s={:.3} task_slices={} task_secs={:.3}",
         l.span(Phase::Preload).secs,

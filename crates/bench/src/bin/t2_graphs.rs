@@ -1,6 +1,6 @@
 //! **T2 — the large-graph workload tier**: the query zoo on 10⁴–10⁶-edge
 //! graphs (random / skewed / power-law), Tetris-Preloaded (sequential
-//! and `Descent::Parallel`, over all box-store backends) vs Leapfrog
+//! and `Descent::Parallel`) vs Leapfrog
 //! Triejoin from the *same* query plan, every row verified against an
 //! independent ground-truth counter. Queries: ordered `triangle`
 //! listing (the default — byte-compatible with every pre-zoo snapshot),
@@ -12,7 +12,7 @@
 //!
 //! Usage:
 //! `cargo run --release -p bench --bin t2_graphs [-- <tier>]
-//!  [--query L] [--threads L] [--backend L] [--shards L] [--seed S]`
+//!  [--query L] [--threads L] [--seed S]`
 //! where `<tier>` is `smoke` (10⁵ edges — the CI graph-smoke job), `full`
 //! (10⁴ + 10⁵, the snapshot tier, default), `big` (adds the 10⁶-edge
 //! skewed instance), or an explicit edge count; `--query` is a
@@ -20,12 +20,7 @@
 //! (default `triangle`; `all` runs the whole zoo); `--threads` is a
 //! comma-separated worker sweep (default `1,4`; `1` runs the sequential
 //! incremental engine, `N > 1` runs `Descent::Parallel { threads: N }`);
-//! `--backend` is a comma-separated backend sweep (default
-//! `binary,radix,arena` — the A/B protocol of EXPERIMENTS.md §8);
-//! `--shards` is a comma-separated subcube shard-count sweep (default
-//! `1` = monolithic; `K > 1` wraps the backend in `ShardedBoxStore` and
-//! bulk-builds the preload per shard, on `threads` workers when the row
-//! is parallel); `--seed` overrides every generator's fixed seed, so a
+//! `--seed` overrides every generator's fixed seed, so a
 //! differential failure found elsewhere can be replayed at bench scale;
 //! `--profile <path>` turns on `TetrisConfig::obs` for every sweep run
 //! and writes one `t2-profile` JSONL row per sweep row to `<path>` (and
@@ -44,24 +39,23 @@
 //! --check-provenance`. Either flag turns `TetrisConfig::obs` on for
 //! the sweep, exactly like `--profile`.
 //!
-//! Every row asserts `tetris == leapfrog == ground truth`, the sweep
-//! asserts every (backend × threads) listing is **bit-identical** to the
-//! first, and sequential resolution counts must match across backends
-//! exactly; any mismatch exits non-zero, so the sweep is itself a
+//! Every row asserts `tetris == leapfrog == ground truth` and the sweep
+//! asserts every thread count's listing is **bit-identical** to the
+//! first; any mismatch exits non-zero, so the sweep is itself a
 //! correctness gate. Machine-readable rows land in
 //! `$TETRIS_BENCH_JSONL` (experiment `t2-graphs`, one row per query ×
-//! backend × thread count, keyed apart by the `query` and `backend`
-//! columns; the `triangles` column holds the output count of whichever
-//! query the row ran), gated in CI by `bench_compare --gate t2-graphs`
-//! against `BENCH_pr8.json` (regeneration: EXPERIMENTS.md §8).
+//! thread count, keyed apart by the `query` and `threads` columns; the
+//! `triangles` column holds the output count of whichever query the row
+//! ran), gated in CI by `bench_compare --gate t2-graphs` against
+//! `BENCH_pr10.json` (regeneration: EXPERIMENTS.md §8).
 //!
 //! All execution goes through the `plan` crate's generic
-//! plan → prepare → execute pipeline — this bin contains no per-backend
-//! dispatch and no per-query engine code.
+//! plan → prepare → execute pipeline — this bin contains no per-query
+//! engine code.
 
 use bench::{fmt_f, peak_rss_bytes, time, Table};
 use plan::{zoo, PreparedQuery};
-use tetris_core::{Backend, Descent, TetrisConfig};
+use tetris_core::{Descent, TetrisConfig};
 use workload::graphs::{self, Graph};
 use workload::loomis;
 
@@ -73,13 +67,11 @@ const ALL_QUERIES: [&str; 4] = ["triangle", "4-cycle", "4-clique", "lw3"];
 /// and `attr` is an `AttributionLedger::to_csv` string;
 /// `bench_compare --check-profile` parses them back and asserts the
 /// ledger-balance invariants against the counter columns.
-const PROFILE_COLS: [&str; 27] = [
+const PROFILE_COLS: [&str; 25] = [
     "experiment",
     "query",
     "graph",
-    "backend",
     "threads",
-    "shards",
     "edges",
     "N",
     "preload_s",
@@ -107,8 +99,6 @@ struct Args {
     tier: String,
     queries: Vec<String>,
     threads: Vec<usize>,
-    backends: Vec<Backend>,
-    shards: Vec<usize>,
     seed: Option<u64>,
     profile: Option<String>,
     trace_out: Option<String>,
@@ -142,8 +132,6 @@ fn parse_args() -> Args {
         tier: "full".to_string(),
         queries: vec!["triangle".to_string()],
         threads: vec![1, 4],
-        backends: vec![Backend::Binary, Backend::Radix, Backend::Arena],
-        shards: vec![1],
         seed: None,
         profile: None,
         trace_out: None,
@@ -176,30 +164,6 @@ fn parse_args() -> Args {
                             .ok()
                             .filter(|&n| n >= 1)
                             .unwrap_or_else(|| usage(&format!("bad thread count {t:?}")))
-                    })
-                    .collect();
-            }
-            "--backend" => {
-                let list = it.next().unwrap_or_else(|| usage("--backend needs a list"));
-                args.backends = list
-                    .split(',')
-                    .map(|b| {
-                        b.trim()
-                            .parse::<Backend>()
-                            .unwrap_or_else(|e| usage(&e.to_string()))
-                    })
-                    .collect();
-            }
-            "--shards" => {
-                let list = it.next().unwrap_or_else(|| usage("--shards needs a list"));
-                args.shards = list
-                    .split(',')
-                    .map(|s| {
-                        s.trim()
-                            .parse::<usize>()
-                            .ok()
-                            .filter(|&n| n >= 1)
-                            .unwrap_or_else(|| usage(&format!("bad shard count {s:?}")))
                     })
                     .collect();
             }
@@ -236,7 +200,7 @@ fn usage(msg: &str) -> ! {
     eprintln!("t2_graphs: {msg}");
     eprintln!(
         "usage: t2_graphs [smoke|full|big|<edge count>] [--query triangle,4-cycle,4-clique,lw3] \
-         [--threads 1,4,...] [--backend binary,radix,arena] [--shards 1,4,...] [--seed S] \
+         [--threads 1,4,...] [--seed S] \
          [--profile <path>] [--trace-out <path>] [--provenance <path>]"
     );
     std::process::exit(2);
@@ -254,16 +218,13 @@ fn main() {
         },
     };
     println!(
-        "== T2: large-graph query zoo (tier: {}, queries: {:?}, threads: {:?}, \
-         backends: {:?}, shards: {:?}) ==\n",
-        args.tier, args.queries, args.threads, args.backends, args.shards
+        "== T2: large-graph query zoo (tier: {}, queries: {:?}, threads: {:?}) ==\n",
+        args.tier, args.queries, args.threads
     );
     let mut table = Table::new(&[
         "query",
         "graph",
-        "backend",
         "threads",
-        "shards",
         "edges",
         "vertices",
         "N",
@@ -291,15 +252,7 @@ fn main() {
         .collect();
     for &edges in &edge_tiers {
         if args.queries.iter().any(|q| q == "lw3") {
-            run_lw3_row(
-                &mut table,
-                &mut sinks,
-                edges,
-                args.seed,
-                &args.threads,
-                &args.backends,
-                &args.shards,
-            );
+            run_lw3_row(&mut table, &mut sinks, edges, args.seed, &args.threads);
             eprintln!("  done: lw3 @ {edges} tuples/atom");
         }
         if graph_queries.is_empty() {
@@ -355,7 +308,7 @@ fn main() {
         println!("provenance rows (experiment t2-provenance) -> {path}");
     }
     println!("{}", table.render());
-    println!("all rows: tetris == leapfrog == ground truth ✓ (all queries × backends × threads)");
+    println!("all rows: tetris == leapfrog == ground truth ✓ (all queries × threads)");
 }
 
 /// The fixed per-family generator seed (`--seed` overrides) — recorded
@@ -437,8 +390,6 @@ fn roundtrip_loader(
                 seed: args.seed.unwrap_or_else(|| default_seed(kind)),
             },
             &args.threads,
-            &args.backends,
-            &args.shards,
         );
     }
 }
@@ -453,8 +404,6 @@ fn run_lw3_row(
     edges: usize,
     seed: Option<u64>,
     threads: &[usize],
-    backends: &[Backend],
-    shards: &[usize],
 ) {
     let width = ((2.0 / 3.0) * (edges.max(8) as f64).log2()).ceil() as u8;
     let eff_seed = seed.unwrap_or_else(|| default_seed("lw-random"));
@@ -479,8 +428,6 @@ fn run_lw3_row(
             seed: eff_seed,
         },
         threads,
-        backends,
-        shards,
     );
 }
 
@@ -496,12 +443,9 @@ struct RowMeta<'a> {
     seed: u64,
 }
 
-/// The backend × shards × threads sweep for one prepared query: every
-/// listing must be bit-identical to the first (and to leapfrog's, which
-/// answers the same plan in the same SAO coordinates), and the
-/// sequential resolution count must not depend on the backend (the
-/// witness order is part of the BoxStore contract). `tetris_s` times the
-/// solve only — the engine is built (and the knowledge base preloaded)
+/// The thread-count sweep for one prepared query: every listing must be
+/// bit-identical to the first (and to leapfrog's, which answers the same
+/// plan in the same SAO coordinates). `tetris_s` times the solve only — the engine is built (and the knowledge base preloaded)
 /// outside the clock, exactly as every earlier snapshot
 /// (BENCH_seed…BENCH_pr7) measured it, so rows stay ratchet-comparable
 /// across PRs.
@@ -511,8 +455,6 @@ fn run_sweep(
     prepared: &PreparedQuery,
     meta: RowMeta<'_>,
     threads: &[usize],
-    backends: &[Backend],
-    shard_counts: &[usize],
 ) {
     let n = prepared.input_size();
     let (lf, lftj_s) = time(|| prepared.leapfrog().0);
@@ -528,163 +470,133 @@ fn run_sweep(
     );
 
     let mut reference: Option<Vec<Vec<u64>>> = None;
-    let mut seq_resolutions: Option<u64> = None;
-    for &backend in backends {
-        for &shards in shard_counts {
-            for &t in threads {
-                let cfg = TetrisConfig {
-                    preload: true,
-                    descent: if t == 1 {
-                        Descent::Incremental
-                    } else {
-                        Descent::Parallel { threads: t }
-                    },
-                    backend,
-                    shards,
-                    // The preload bulk build uses the row's worker count:
-                    // sequential rows build sequentially (so their
-                    // preload_s is the honest 1-thread number), parallel
-                    // rows build per-shard in parallel.
-                    preload_threads: t,
-                    // Profiled/traced/provenance sweeps run metrics-on;
-                    // snapshot wall rows are regenerated with all three
-                    // sinks off, so the ratchet never compares on
-                    // against off.
-                    obs: sinks.obs_on(),
-                    ..Default::default()
-                };
-                let run = prepared.execute(cfg);
-                let out = &run.output;
-                let ctx = format!(
-                    "{}/{}/{} edges, backend={backend}, threads={t}, shards={shards}",
-                    meta.query, meta.graph, meta.edges
-                );
+    for &t in threads {
+        let cfg = TetrisConfig {
+            preload: true,
+            descent: if t == 1 {
+                Descent::Incremental
+            } else {
+                Descent::Parallel { threads: t }
+            },
+            // Profiled/traced/provenance sweeps run metrics-on; snapshot
+            // wall rows are regenerated with all three sinks off, so the
+            // ratchet never compares on against off.
+            obs: sinks.obs_on(),
+            ..Default::default()
+        };
+        let run = prepared.execute(cfg);
+        let out = &run.output;
+        let ctx = format!(
+            "{}/{}/{} edges, threads={t}",
+            meta.query, meta.graph, meta.edges
+        );
+        assert_eq!(
+            out.tuples.len() as u64,
+            meta.truth,
+            "{ctx}: tetris listed {} tuples, ground truth {}",
+            out.tuples.len(),
+            meta.truth
+        );
+        match &reference {
+            None => {
+                // Both engines emit SAO coordinates in lex order, so the
+                // listings must agree byte-for-byte.
                 assert_eq!(
-                    out.tuples.len() as u64,
-                    meta.truth,
-                    "{ctx}: tetris listed {} tuples, ground truth {}",
-                    out.tuples.len(),
-                    meta.truth
+                    out.tuples, lf,
+                    "{ctx}: tetris and leapfrog listings diverge"
                 );
-                match &reference {
-                    None => {
-                        // Both engines emit SAO coordinates in lex order,
-                        // so the listings must agree byte-for-byte.
-                        assert_eq!(
-                            out.tuples, lf,
-                            "{ctx}: tetris and leapfrog listings diverge"
-                        );
-                        reference = Some(out.tuples.clone());
-                    }
-                    Some(r) => assert_eq!(
-                        &out.tuples, r,
-                        "{ctx}: listing diverges from the first sweep entry"
-                    ),
-                }
-                if t == 1 {
-                    match seq_resolutions {
-                        None => seq_resolutions = Some(out.stats.resolutions),
-                        Some(r) => assert_eq!(
-                            out.stats.resolutions, r,
-                            "{ctx}: sequential resolutions diverge — the witness orders differ"
-                        ),
-                    }
-                }
-                // Resolutions are the Õ-bound quantity and must never grow, so
-                // `bench_compare` hard-fails on any increase — but under
-                // `Descent::Parallel` the count depends on donation timing
-                // (documented in tests/stats_regression.rs), so parallel rows
-                // report `-` and only their wall time and output count gate.
-                let resolutions = if t == 1 {
-                    format!("{}", out.stats.resolutions)
-                } else {
-                    "-".to_string()
-                };
-                table.row(&[
-                    meta.query.to_string(),
-                    meta.graph.to_string(),
-                    format!("{backend}"),
-                    format!("{t}"),
-                    format!("{shards}"),
-                    format!("{}", meta.edges),
-                    format!("{}", meta.vertices),
-                    format!("{n}"),
-                    format!("{}", meta.truth),
-                    fmt_f(meta.truth_s),
-                    fmt_f(run.solve_s),
-                    fmt_f(run.preload_s),
-                    resolutions,
-                    fmt_f(lftj_s),
-                    fmt_f(meta.load_s),
-                    // An unmeasurable RSS (no procfs) is an explicit JSON
-                    // null, never a fabricated number — bench_compare
-                    // skips the ratchet for such rows.
-                    peak_rss_bytes()
-                        .map_or("null".to_string(), |b| fmt_f(b as f64 / (1024.0 * 1024.0))),
-                ]);
-                sinks.runs += 1;
-                if let Some(pt) = &mut sinks.profile {
-                    let l = out.obs.as_ref().expect("profile sweeps run with obs on");
-                    let mem = run.mem.expect("profile sweeps read mem_stats");
-                    let task = l.span(obs::Phase::Task);
-                    pt.row(&[
-                        "t2-profile".to_string(),
-                        meta.query.to_string(),
-                        meta.graph.to_string(),
-                        format!("{backend}"),
-                        format!("{t}"),
-                        format!("{shards}"),
-                        format!("{}", meta.edges),
-                        format!("{n}"),
-                        fmt_f(run.preload_s),
-                        fmt_f(run.solve_s),
-                        format!("{}", task.count),
-                        fmt_f(task.secs),
-                        format!("{}", out.stats.resolutions),
-                        format!("{}", out.stats.kb_queries),
-                        format!("{}", out.stats.kb_inserts),
-                        format!("{}", out.stats.probe_advances),
-                        format!("{}", out.stats.probe_repairs),
-                        format!("{}", out.stats.probe_full_walks),
-                        format!("{}", out.stats.par_donations),
-                        l.depth.to_csv(),
-                        l.walk.to_csv(),
-                        l.repair.to_csv(),
-                        l.donation.to_csv(),
-                        l.attr.to_csv(),
-                        format!("{}", mem.nodes),
-                        format!("{}", mem.bytes),
-                        format!("{}", mem.max_depth),
-                    ]);
-                }
-                if let Some(ct) = &mut sinks.chrome {
-                    let l = out.obs.as_ref().expect("traced sweeps run with obs on");
-                    let name = format!(
-                        "{}/{}/{backend}x{shards}t{t}@{}",
-                        meta.query, meta.graph, meta.edges
-                    );
-                    ct.push_run(&name, l, sinks.runs);
-                }
-                if sinks.provenance_on {
-                    let mut rec: Vec<(&str, String)> = vec![
-                        ("experiment", "t2-provenance".to_string()),
-                        ("graph", meta.graph.to_string()),
-                        ("edges", meta.edges.to_string()),
-                        ("seed", meta.seed.to_string()),
-                        (
-                            "snapshot",
-                            std::env::var("TETRIS_BENCH_JSONL").unwrap_or_else(|_| "-".into()),
-                        ),
-                    ];
-                    rec.extend(run.provenance(prepared));
-                    let pv = sinks.provenance.get_or_insert_with(|| {
-                        let cols: Vec<&str> = rec.iter().map(|(f, _)| *f).collect();
-                        Table::new(&cols)
-                    });
-                    let vals: Vec<String> = rec.into_iter().map(|(_, v)| v).collect();
-                    pv.row(&vals);
-                }
+                reference = Some(out.tuples.clone());
             }
+            Some(r) => assert_eq!(
+                &out.tuples, r,
+                "{ctx}: listing diverges from the first sweep entry"
+            ),
+        }
+        // Resolutions are the Õ-bound quantity and must never grow, so
+        // `bench_compare` hard-fails on any increase — but under
+        // `Descent::Parallel` the count depends on donation timing
+        // (documented in tests/stats_regression.rs), so parallel rows
+        // report `-` and only their wall time and output count gate.
+        let resolutions = if t == 1 {
+            format!("{}", out.stats.resolutions)
+        } else {
+            "-".to_string()
+        };
+        table.row(&[
+            meta.query.to_string(),
+            meta.graph.to_string(),
+            format!("{t}"),
+            format!("{}", meta.edges),
+            format!("{}", meta.vertices),
+            format!("{n}"),
+            format!("{}", meta.truth),
+            fmt_f(meta.truth_s),
+            fmt_f(run.solve_s),
+            fmt_f(run.preload_s),
+            resolutions,
+            fmt_f(lftj_s),
+            fmt_f(meta.load_s),
+            // An unmeasurable RSS (no procfs) is an explicit JSON null,
+            // never a fabricated number — bench_compare skips the ratchet
+            // for such rows.
+            peak_rss_bytes().map_or("null".to_string(), |b| fmt_f(b as f64 / (1024.0 * 1024.0))),
+        ]);
+        sinks.runs += 1;
+        if let Some(pt) = &mut sinks.profile {
+            let l = out.obs.as_ref().expect("profile sweeps run with obs on");
+            let mem = run.mem.expect("profile sweeps read mem_stats");
+            let task = l.span(obs::Phase::Task);
+            pt.row(&[
+                "t2-profile".to_string(),
+                meta.query.to_string(),
+                meta.graph.to_string(),
+                format!("{t}"),
+                format!("{}", meta.edges),
+                format!("{n}"),
+                fmt_f(run.preload_s),
+                fmt_f(run.solve_s),
+                format!("{}", task.count),
+                fmt_f(task.secs),
+                format!("{}", out.stats.resolutions),
+                format!("{}", out.stats.kb_queries),
+                format!("{}", out.stats.kb_inserts),
+                format!("{}", out.stats.probe_advances),
+                format!("{}", out.stats.probe_repairs),
+                format!("{}", out.stats.probe_full_walks),
+                format!("{}", out.stats.par_donations),
+                l.depth.to_csv(),
+                l.walk.to_csv(),
+                l.repair.to_csv(),
+                l.donation.to_csv(),
+                l.attr.to_csv(),
+                format!("{}", mem.nodes),
+                format!("{}", mem.bytes),
+                format!("{}", mem.max_depth),
+            ]);
+        }
+        if let Some(ct) = &mut sinks.chrome {
+            let l = out.obs.as_ref().expect("traced sweeps run with obs on");
+            let name = format!("{}/{}/t{t}@{}", meta.query, meta.graph, meta.edges);
+            ct.push_run(&name, l, sinks.runs);
+        }
+        if sinks.provenance_on {
+            let mut rec: Vec<(&str, String)> = vec![
+                ("experiment", "t2-provenance".to_string()),
+                ("graph", meta.graph.to_string()),
+                ("edges", meta.edges.to_string()),
+                ("seed", meta.seed.to_string()),
+                (
+                    "snapshot",
+                    std::env::var("TETRIS_BENCH_JSONL").unwrap_or_else(|_| "-".into()),
+                ),
+            ];
+            rec.extend(run.provenance(prepared));
+            let pv = sinks.provenance.get_or_insert_with(|| {
+                let cols: Vec<&str> = rec.iter().map(|(f, _)| *f).collect();
+                Table::new(&cols)
+            });
+            let vals: Vec<String> = rec.into_iter().map(|(_, v)| v).collect();
+            pv.row(&vals);
         }
     }
 }

@@ -1,30 +1,22 @@
-//! The pluggable box-store backend contract.
-//!
-//! The Tetris engines never depend on *how* boxes are stored — they need
-//! exactly the queries of [`BoxStore`]: insert, first-hit containment
-//! probe (with the incremental frontier advance/repair fast path),
-//! coverage epochs, and shard extraction for the parallel descent. The
-//! paper's multilevel binary tree ([`crate::BoxTree`], Appendix C.1) is
-//! one implementation; `boxtrie`'s path-compressed radix trie is another.
-//! Everything an implementation shares — the probe-frontier state, the
-//! per-frame frontier stack, the rolling insert log that makes lagging
-//! frontiers repairable — lives here so backends only differ in their
-//! node walks.
+//! The probe machinery around [`crate::BoxTree`]: the probe-frontier
+//! state, the per-frame frontier stack, the rolling insert log that makes
+//! lagging frontiers repairable, and the insert cursor.
 //!
 //! # The containment-order contract
 //!
-//! `find_containing` (and its tracked variant) must return the **first
-//! hit of the multilevel DFS**: stored prefixes are tried dimension by
-//! dimension in SAO order, shorter prefixes first. Two conforming
-//! backends therefore return *bit-identical witnesses* on every probe,
-//! which is what makes whole-engine A/B runs (and their resolution
-//! counts) comparable — the differential walls assert exactly this.
+//! `find_containing` (and its tracked variant) returns the **first hit
+//! of the multilevel DFS**: stored prefixes are tried dimension by
+//! dimension in SAO order, shorter prefixes first. The frontier repair
+//! reproduces that order exactly, so a tracked probe's witness is
+//! bit-identical to a fresh walk's — which is what keeps resolution
+//! counts independent of the fast paths.
 
+use crate::tree::BinaryEntry;
 use dyadic::{DyadicBox, DyadicInterval, MAX_DIMS};
 
-/// Default length of the rolling insert ring every backend keeps (the
-/// window of recent inserts a saved probe frontier can be repaired
-/// against). Surfaced through `TetrisConfig::insert_ring`.
+/// Default length of the store's rolling insert ring (the window of
+/// recent inserts a saved probe frontier can be repaired against).
+/// Surfaced through `TetrisConfig::insert_ring`.
 pub const DEFAULT_INSERT_RING: usize = 256;
 
 /// Maximum number of logged inserts a saved frontier may lag behind the
@@ -32,166 +24,45 @@ pub const DEFAULT_INSERT_RING: usize = 256;
 /// full walk.
 pub const REPAIR_CAP: u64 = 64;
 
-/// Construction-time tuning knobs shared by all backends.
+/// Construction-time tuning of a [`crate::BoxTree`].
 #[derive(Clone, Copy, Debug)]
 pub struct StoreTuning {
     /// Length of the rolling insert ring (must be ≥ [`REPAIR_CAP`]; the
     /// repair window must never be overwritten before it can be read).
     pub insert_ring: usize,
-    /// Requested subcube shard count for [`crate::ShardedBoxStore`]
-    /// (rounded up to the next power of two; `1` = unsharded). Monolithic
-    /// backends ignore it, so the same tuning value can configure both
-    /// the sharded base and its inner stores.
-    pub shards: usize,
 }
 
 impl Default for StoreTuning {
     fn default() -> Self {
         StoreTuning {
             insert_ring: DEFAULT_INSERT_RING,
-            shards: 1,
         }
     }
 }
 
-/// The storage contract the Tetris engines are generic over.
-///
-/// Implementations must satisfy, beyond the per-method contracts:
-///
-/// * **DFS-first witnesses** — see the module docs; witnesses must be
-///   bit-identical to [`crate::BoxTree`]'s on every reachable probe.
-/// * **Monotone epochs** — [`BoxStore::epoch`] advances exactly on novel
-///   inserts and on [`BoxStore::clear`], never otherwise (the engine's
-///   coverage memo keys on this).
-/// * **Thread sharing** — stores are probed through `&self` by many
-///   workers under the parallel descent (`Sync`), and overlay shards
-///   move between workers (`Send`).
-pub trait BoxStore: Send + Sync + Sized + std::fmt::Debug {
-    /// One recorded tree position of a failed probe's frontier. Opaque to
-    /// the engine; [`DescentProbe`] and [`FrontierStack`] just carry it.
-    type Entry: Copy + std::fmt::Debug + Send;
-
-    /// An empty store for `n`-dimensional boxes with explicit tuning.
-    fn with_tuning(n: usize, tuning: StoreTuning) -> Self;
-
-    /// An empty store for `n`-dimensional boxes (default tuning).
-    fn new(n: usize) -> Self {
-        Self::with_tuning(n, StoreTuning::default())
-    }
-
-    /// Number of dimensions.
-    fn n(&self) -> usize;
-
-    /// Number of stored boxes (exact duplicates stored once).
-    fn len(&self) -> usize;
-
-    /// Whether the store is empty.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Number of arena nodes (memory diagnostic).
-    fn node_count(&self) -> usize;
-
-    /// The store's memory ledger: arena nodes, `size_of`-exact bytes
-    /// held by those arenas, and the longest root-to-node link chain in
-    /// hops (the walk an adversarial full probe would pay). An O(nodes)
-    /// traversal — a diagnostic for profile reports, never called on
-    /// the hot path. Sharded wrappers sum nodes/bytes and max depths
-    /// across sub-stores.
-    fn mem_stats(&self) -> obs::MemStats;
-
-    /// The coverage epoch (see [`crate::BoxTree::epoch`] for the
-    /// monotonicity contract).
-    fn epoch(&self) -> u64;
-
-    /// Remove all boxes, keeping allocated capacity. Invalidates every
-    /// saved frontier (enforced via the insert log's clear stamp).
-    fn clear(&mut self);
-
-    /// Insert a box; `true` iff it was new.
-    fn insert(&mut self, b: &DyadicBox) -> bool;
-
-    /// Find one stored box `a ⊇ b` — the multilevel DFS's first hit.
-    fn find_containing(&self, b: &DyadicBox) -> Option<DyadicBox>;
-
-    /// Whether some stored box contains `b`.
-    fn covers(&self, b: &DyadicBox) -> bool {
-        self.find_containing(b).is_some()
-    }
-
-    /// [`BoxStore::find_containing`] with the incremental-descent fast
-    /// path: failed probes record their frontier in `state`, and a probe
-    /// for the last target's one-bit child at a close-enough insert count
-    /// advances (and repairs) it instead of re-walking. Must be
-    /// witness-identical to [`BoxStore::find_containing`].
-    fn find_containing_tracked(
-        &self,
-        b: &DyadicBox,
-        dim: usize,
-        state: &mut DescentProbe<Self::Entry>,
-    ) -> Option<DyadicBox>;
-
-    /// Build a shard: every stored box intersecting `target` is inserted
-    /// into `out` (cleared first). Boxes are copied verbatim, so the
-    /// shard answers every containment probe for sub-boxes of `target`
-    /// exactly as the full store would.
-    fn extract_intersecting_into(&self, target: &DyadicBox, out: &mut Self);
-
-    /// Enumerate all stored boxes (deterministic order).
-    fn iter_boxes(&self) -> Vec<DyadicBox>;
-
-    /// Bulk-build an **empty** store from a repeatable box stream
-    /// (`Tetris-Preloaded` knowledge-base construction).
-    ///
-    /// `stream` is called with a sink and must feed every box to it,
-    /// returning `false` if the source cannot enumerate (mirroring
-    /// [`crate::BoxOracle::for_each_box`]); it may be called several
-    /// times and must replay the same boxes in the same order each time.
-    /// Returns the number of *novel* inserts, or `None` if the stream is
-    /// unsupported. The default implementation is a single sequential
-    /// pass; partitioned backends override it to build sub-stores in
-    /// parallel on up to `threads` workers — with results required to be
-    /// identical to the sequential pass.
-    fn bulk_preload<F>(&mut self, _threads: usize, stream: F) -> Option<u64>
-    where
-        F: Fn(&mut dyn FnMut(&DyadicBox)) -> bool + Sync,
-    {
-        debug_assert!(self.is_empty(), "bulk_preload requires an empty store");
-        let mut count = 0u64;
-        let ok = stream(&mut |b: &DyadicBox| {
-            if self.insert(b) {
-                count += 1;
-            }
-        });
-        ok.then_some(count)
-    }
-}
-
-/// Reusable state for [`BoxStore::find_containing_tracked`]: the frontier
-/// of the last failed probe, valid for the immediate child of the
-/// recorded target. The frontier is *complete* with respect to every
+/// Reusable state for [`crate::BoxTree::find_containing_tracked`]: the
+/// frontier of the last failed probe, valid for the immediate child of
+/// the recorded target. The frontier is *complete* with respect to every
 /// insert before `mark`; up to [`REPAIR_CAP`] later inserts can be
 /// repaired in from the store's rolling log, anything older falls back
 /// to a full walk.
 ///
-/// The bookkeeping fields are `pub` because backend implementations live
-/// in other crates (`boxtrie`); the engine treats the whole struct as
-/// opaque apart from the diagnostic counters.
-#[derive(Debug)]
-pub struct DescentProbe<E> {
+/// The engine treats the frontier as opaque and reads only the
+/// diagnostic counters.
+#[derive(Debug, Default)]
+pub struct DescentProbe {
     /// Recorded frontier positions, in DFS order.
-    pub entries: Vec<E>,
+    pub(crate) entries: Vec<BinaryEntry>,
     /// The last failed probe's target (`None` = no valid frontier).
-    pub last: Option<DyadicBox>,
+    pub(crate) last: Option<DyadicBox>,
     /// The probed dimension the frontier was recorded for.
-    pub dim: u8,
+    pub(crate) dim: u8,
     /// The recorded target's component length at `dim`.
-    pub len: u8,
+    pub(crate) len: u8,
     /// Store insert count up to which `entries` is complete.
-    pub mark: u64,
+    pub(crate) mark: u64,
     /// Store clear count at recording time (node ids die with a clear).
-    pub clears: u32,
+    pub(crate) clears: u32,
     /// Probes answered by advancing the recorded frontier (diagnostic).
     pub advances: u64,
     /// Probes answered by advance + insert-log repair (diagnostic).
@@ -205,39 +76,28 @@ pub struct DescentProbe<E> {
     /// Insert-log lag of the most recent repair — the repair-window
     /// size. Written at every `repairs` increment, so an observer that
     /// sees `repairs` grow across a tracked call reads the window the
-    /// repair scanned here (diagnostic; backends only write it).
+    /// repair scanned here (diagnostic; the store only writes it).
     pub last_repair_window: u64,
     /// Whether the most recent repair's window scan surfaced a lagging
     /// insert containing the probe. Written at every `repairs`
     /// increment, so an observer that sees `repairs` grow across a
     /// tracked call reads here whether that repair actually changed the
-    /// answer (diagnostic; backends only write it).
+    /// answer (diagnostic; the store only writes it).
     pub last_repair_hit: bool,
 }
 
-impl<E> Default for DescentProbe<E> {
-    fn default() -> Self {
-        DescentProbe {
-            entries: Vec::new(),
-            last: None,
-            dim: 0,
-            len: 0,
-            mark: 0,
-            clears: 0,
-            advances: 0,
-            repairs: 0,
-            repair_fasts: 0,
-            full_walks: 0,
-            last_repair_window: 0,
-            last_repair_hit: false,
-        }
-    }
-}
-
-impl<E> DescentProbe<E> {
+impl DescentProbe {
     /// Fresh (invalid) state.
+    #[inline]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Number of recorded frontier positions (the walk-length
+    /// diagnostic).
+    #[inline]
+    pub fn frontier_len(&self) -> usize {
+        self.entries.len()
     }
 
     /// Drop the recorded frontier (keeps allocated capacity).
@@ -259,19 +119,10 @@ impl<E> DescentProbe<E> {
 /// repairs) instead of re-walking the store from the root. Entries live
 /// in one arena that grows and truncates with the stack, so saving a
 /// frontier never allocates after warm-up.
-#[derive(Debug)]
-pub struct FrontierStack<E> {
-    arena: Vec<E>,
+#[derive(Debug, Default)]
+pub struct FrontierStack {
+    arena: Vec<BinaryEntry>,
     frames: Vec<SavedMeta>,
-}
-
-impl<E> Default for FrontierStack<E> {
-    fn default() -> Self {
-        FrontierStack {
-            arena: Vec::new(),
-            frames: Vec::new(),
-        }
-    }
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -283,7 +134,7 @@ struct SavedMeta {
     clears: u32,
 }
 
-impl<E: Copy> FrontierStack<E> {
+impl FrontierStack {
     /// An empty stack.
     pub fn new() -> Self {
         Self::default()
@@ -301,7 +152,8 @@ impl<E: Copy> FrontierStack<E> {
 
     /// Save the frontier of the probe that just failed (the engine calls
     /// this exactly when it pushes the corresponding descent frame).
-    pub fn push_saved(&mut self, probe: &DescentProbe<E>) {
+    #[inline]
+    pub fn push_saved(&mut self, probe: &DescentProbe) {
         debug_assert!(probe.last.is_some(), "only failed probes have frontiers");
         self.frames.push(SavedMeta {
             start: self.arena.len(),
@@ -314,6 +166,7 @@ impl<E: Copy> FrontierStack<E> {
     }
 
     /// Discard the top frame's saved frontier (mirrors a frame pop).
+    #[inline]
     pub fn pop(&mut self) {
         if let Some(m) = self.frames.pop() {
             self.arena.truncate(m.start);
@@ -321,6 +174,7 @@ impl<E: Copy> FrontierStack<E> {
     }
 
     /// Drop everything (mirrors a descent teardown).
+    #[inline]
     pub fn clear(&mut self) {
         self.frames.clear();
         self.arena.clear();
@@ -330,7 +184,8 @@ impl<E: Copy> FrontierStack<E> {
     /// probe of `parent` (the frame's reconstructed target), so the next
     /// tracked query for the parent's 1-side child advances it. Returns
     /// `false` when there is nothing to restore.
-    pub fn restore_top(&self, parent: &DyadicBox, probe: &mut DescentProbe<E>) -> bool {
+    #[inline]
+    pub fn restore_top(&self, parent: &DyadicBox, probe: &mut DescentProbe) -> bool {
         let Some(m) = self.frames.last() else {
             return false;
         };
@@ -346,9 +201,9 @@ impl<E: Copy> FrontierStack<E> {
     }
 }
 
-/// The rolling log of recent inserts every backend keeps: the window a
-/// lagging saved frontier is repaired against, plus the monotone insert
-/// and clear counters probe state is keyed on.
+/// The store's rolling log of recent inserts: the window a lagging saved
+/// frontier is repaired against, plus the monotone insert and clear
+/// counters probe state is keyed on.
 ///
 /// # The fingerprint summary
 ///
@@ -387,7 +242,7 @@ impl<E: Copy> FrontierStack<E> {
 /// every window `[mark, insert_count)` a repair may ask about. Extra
 /// coverage only adds false positives, never false negatives.
 #[derive(Clone, Debug)]
-pub struct InsertLog {
+pub(crate) struct InsertLog {
     /// Insert `i` lives at `i % ring.len()`; allocated on first insert.
     ring: Vec<DyadicBox>,
     ring_len: usize,
@@ -427,7 +282,7 @@ impl InsertLog {
     ///
     /// # Panics
     /// If `ring_len < REPAIR_CAP` — the repairable window must fit.
-    pub fn new(ring_len: usize) -> Self {
+    pub(crate) fn new(ring_len: usize) -> Self {
         assert!(
             ring_len as u64 >= REPAIR_CAP,
             "insert ring ({ring_len}) must hold at least REPAIR_CAP ({REPAIR_CAP}) entries"
@@ -443,7 +298,7 @@ impl InsertLog {
     }
 
     /// Record a novel insert of an `n`-dimensional box.
-    pub fn record(&mut self, n: usize, b: &DyadicBox) {
+    pub(crate) fn record(&mut self, n: usize, b: &DyadicBox) {
         if self.ring.is_empty() {
             self.ring.resize(self.ring_len, DyadicBox::universe(n));
         }
@@ -462,34 +317,34 @@ impl InsertLog {
     }
 
     /// Stamp a store clear (keeps the monotone insert count).
-    pub fn note_clear(&mut self) {
+    pub(crate) fn note_clear(&mut self) {
         self.clears += 1;
         self.block_cur = 0;
         self.block_prev = 0;
     }
 
     /// Novel inserts ever performed.
-    pub fn insert_count(&self) -> u64 {
+    pub(crate) fn insert_count(&self) -> u64 {
         self.insert_count
     }
 
     /// Clears ever performed.
-    pub fn clears(&self) -> u32 {
+    pub(crate) fn clears(&self) -> u32 {
         self.clears
     }
 
     /// How many inserts a frontier recorded at `mark` is missing.
-    pub fn lag(&self, mark: u64) -> u64 {
+    pub(crate) fn lag(&self, mark: u64) -> u64 {
         self.insert_count - mark
     }
 
     /// Whether the fingerprint summary admits *any* recent insert
     /// containing `b`. `false` is definitive (no insert in the last
-    /// [`REPAIR_CAP`] can contain `b`, so [`InsertLog::best_candidate`]
-    /// over any repairable window would return `None`); `true` means the
+    /// [`REPAIR_CAP`] can contain `b`, so a scan of any repairable window
+    /// would find no candidate); `true` means the
     /// scan must run. See the type-level docs for the encoding.
     #[inline]
-    pub fn summary_may_contain(&self, b: &DyadicBox) -> bool {
+    pub(crate) fn summary_may_contain(&self, b: &DyadicBox) -> bool {
         let blocks = self.block_cur | self.block_prev;
         let n = b.n() as u64;
         let bpd = 64 / n;
@@ -521,7 +376,7 @@ impl InsertLog {
 
     /// One pass over the window `[mark, insert_count)` serving a frontier
     /// repair that intends to **advance `mark` past the window**: returns
-    /// the DFS-least containing insert (exactly [`best_candidate`]) and
+    /// the DFS-least containing insert (exactly `best_candidate`) and
     /// hands every *graft* to the callback — a lagging insert that
     /// extended the probed path strictly below the frontier depth, i.e. a
     /// tree position the recorded entries cannot know about. Folding the
@@ -532,9 +387,7 @@ impl InsertLog {
     /// earlier-dimension components.
     ///
     /// The caller must have checked `lag(mark) <= REPAIR_CAP`.
-    ///
-    /// [`best_candidate`]: InsertLog::best_candidate
-    pub fn scan_repair(
+    pub(crate) fn scan_repair(
         &self,
         b: &DyadicBox,
         dim: usize,
@@ -571,10 +424,12 @@ impl InsertLog {
 
     /// The DFS-least logged insert since `mark` that contains `b`, keyed
     /// by its [`lens_key_of_box`] — the candidate a frontier repair
-    /// compares against the advanced frontier's own first hit.
+    /// compares against the advanced frontier's own first hit. The
+    /// reference [`InsertLog::scan_repair`] is tested against.
     ///
     /// The caller must have checked `lag(mark) <= REPAIR_CAP`.
-    pub fn best_candidate(
+    #[cfg(test)]
+    pub(crate) fn best_candidate(
         &self,
         b: &DyadicBox,
         dim: usize,
@@ -600,7 +455,7 @@ impl InsertLog {
 /// can answer such a probe). The multilevel walk visits shorter prefixes
 /// first dimension by dimension, so comparing these keys lexicographically
 /// reproduces its first-hit order.
-pub fn lens_key_of_box(c: &DyadicBox, dim: usize) -> [u8; MAX_DIMS] {
+pub(crate) fn lens_key_of_box(c: &DyadicBox, dim: usize) -> [u8; MAX_DIMS] {
     let mut key = [0u8; MAX_DIMS];
     for (i, slot) in key.iter_mut().enumerate().take(dim + 1) {
         *slot = c.get(i).len();
@@ -615,16 +470,15 @@ pub fn lens_key_of_box(c: &DyadicBox, dim: usize) -> [u8; MAX_DIMS] {
 /// Resolvent streams are extremely local — an unwind merges siblings and
 /// ascends one bit at a time, and the preload feeds boxes in sorted
 /// order — so the common case resumes within a few bits of the end. The
-/// cached node ids stay valid because the tree backends are push-only
-/// arenas: the only invalidating mutation is a full [`clear`], which
-/// resets the cursor. (The radix backend re-roots nodes on splits, so it
-/// does **not** use this.)
+/// cached node ids stay valid because the tree is a push-only arena: the
+/// only invalidating mutation is a full [`clear`], which resets the
+/// cursor.
 ///
 /// Layout: `path[base[i]]` is the node dimension `i`'s component starts
 /// from (the level root reached through the `next` chain), followed by
 /// one node per bit of that component.
 ///
-/// [`clear`]: BoxStore::clear
+/// [`clear`]: crate::BoxTree::clear
 #[derive(Debug)]
 pub(crate) struct InsertCursor {
     valid: bool,
@@ -721,7 +575,7 @@ fn common_prefix(a: DyadicInterval, b: DyadicInterval) -> u8 {
 }
 
 /// Whether `b` is `last` with exactly one bit appended at `dim`.
-pub fn is_child_at(b: &DyadicBox, last: &DyadicBox, dim: usize) -> bool {
+pub(crate) fn is_child_at(b: &DyadicBox, last: &DyadicBox, dim: usize) -> bool {
     for i in 0..b.n() {
         if i == dim {
             let (bi, li) = (b.get(i), last.get(i));

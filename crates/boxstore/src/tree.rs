@@ -1,10 +1,7 @@
-//! The multilevel dyadic tree (paper Appendix C.1) — the binary
-//! [`BoxStore`] backend, and the differential oracle the radix backend
-//! (`boxtrie`) is checked against.
+//! The multilevel dyadic tree (paper Appendix C.1): the knowledge base
+//! every Tetris engine runs on.
 
-use crate::store::{
-    is_child_at, BoxStore, DescentProbe, InsertCursor, InsertLog, StoreTuning, REPAIR_CAP,
-};
+use crate::store::{is_child_at, DescentProbe, InsertCursor, InsertLog, StoreTuning, REPAIR_CAP};
 use dyadic::{DyadicBox, DyadicInterval, MAX_DIMS};
 
 /// Sentinel for "no node".
@@ -114,7 +111,7 @@ pub struct BoxTree {
 /// prefix lengths chosen on the earlier dimensions (enough to rebuild the
 /// witness box on a later hit).
 #[derive(Clone, Copy, Debug)]
-pub struct BinaryEntry {
+pub(crate) struct BinaryEntry {
     node: u32,
     lens: [u8; MAX_DIMS],
 }
@@ -159,6 +156,33 @@ impl BoxTree {
     /// Number of arena nodes (memory diagnostic).
     pub fn node_count(&self) -> usize {
         self.nodes.len()
+    }
+
+    /// The store's memory ledger: arena nodes, `size_of`-exact bytes
+    /// held by the arena, and the longest root-to-node link chain in
+    /// hops (the walk an adversarial full probe would pay). An O(nodes)
+    /// traversal — a diagnostic for profile reports, never called on
+    /// the hot path.
+    pub fn mem_stats(&self) -> obs::MemStats {
+        // Every node has exactly one parent link (child or `next`), so
+        // the arena is a tree rooted at `root` and one stack walk visits
+        // each node once. Implicit leaves are not nodes: no load, no depth.
+        let mut max_depth = 0u64;
+        let mut stack: Vec<(u32, u64)> = vec![(self.root, 0)];
+        while let Some((id, d)) = stack.pop() {
+            max_depth = max_depth.max(d);
+            let node = &self.nodes[id as usize];
+            for link in [node.children[0], node.children[1], node.next] {
+                if link != NONE && link != LEAF {
+                    stack.push((link, d + 1));
+                }
+            }
+        }
+        obs::MemStats {
+            nodes: self.nodes.len() as u64,
+            bytes: (self.nodes.len() * std::mem::size_of::<Node>()) as u64,
+            max_depth,
+        }
     }
 
     /// The **coverage epoch**: a counter bumped every time the stored set
@@ -457,7 +481,7 @@ impl BoxTree {
         &self,
         b: &DyadicBox,
         dim: usize,
-        state: &mut DescentProbe<BinaryEntry>,
+        state: &mut DescentProbe,
     ) -> Option<DyadicBox> {
         debug_assert_eq!(b.n(), self.n);
         debug_assert!(dim < self.n);
@@ -501,7 +525,7 @@ impl BoxTree {
         &self,
         b: &DyadicBox,
         dim: usize,
-        state: &mut DescentProbe<BinaryEntry>,
+        state: &mut DescentProbe,
     ) -> Option<DyadicBox> {
         let iv = b.get(dim);
         let bit = (iv.bits() & 1) as usize;
@@ -549,7 +573,7 @@ impl BoxTree {
         &self,
         b: &DyadicBox,
         dim: usize,
-        state: &mut DescentProbe<BinaryEntry>,
+        state: &mut DescentProbe,
     ) -> Option<DyadicBox> {
         let iv = b.get(dim);
         // Best candidate among the lagging inserts, keyed by DFS order —
@@ -677,12 +701,7 @@ impl BoxTree {
     }
 
     /// Full walk that records the frontier for later advancing.
-    fn full_probe(
-        &self,
-        b: &DyadicBox,
-        dim: usize,
-        state: &mut DescentProbe<BinaryEntry>,
-    ) -> Option<DyadicBox> {
+    fn full_probe(&self, b: &DyadicBox, dim: usize, state: &mut DescentProbe) -> Option<DyadicBox> {
         state.entries.clear();
         let mut lens = [0u8; MAX_DIMS];
         let mut scratch = DyadicBox::universe(self.n);
@@ -934,81 +953,6 @@ impl BoxTree {
                 self.walk_all(child, dim, prefix.child(bit), scratch, out);
             }
         }
-    }
-}
-
-impl BoxStore for BoxTree {
-    type Entry = BinaryEntry;
-
-    fn with_tuning(n: usize, tuning: StoreTuning) -> Self {
-        BoxTree::with_tuning(n, tuning)
-    }
-
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    fn mem_stats(&self) -> obs::MemStats {
-        // Every node has exactly one parent link (child or `next`), so
-        // the arena is a tree rooted at `root` and one stack walk visits
-        // each node once. Implicit leaves are not nodes: no load, no depth.
-        let mut max_depth = 0u64;
-        let mut stack: Vec<(u32, u64)> = vec![(self.root, 0)];
-        while let Some((id, d)) = stack.pop() {
-            max_depth = max_depth.max(d);
-            let node = &self.nodes[id as usize];
-            for link in [node.children[0], node.children[1], node.next] {
-                if link != NONE && link != LEAF {
-                    stack.push((link, d + 1));
-                }
-            }
-        }
-        obs::MemStats {
-            nodes: self.nodes.len() as u64,
-            bytes: (self.nodes.len() * std::mem::size_of::<Node>()) as u64,
-            max_depth,
-        }
-    }
-
-    fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    fn clear(&mut self) {
-        BoxTree::clear(self)
-    }
-
-    fn insert(&mut self, b: &DyadicBox) -> bool {
-        BoxTree::insert(self, b)
-    }
-
-    fn find_containing(&self, b: &DyadicBox) -> Option<DyadicBox> {
-        BoxTree::find_containing(self, b)
-    }
-
-    fn find_containing_tracked(
-        &self,
-        b: &DyadicBox,
-        dim: usize,
-        state: &mut DescentProbe<BinaryEntry>,
-    ) -> Option<DyadicBox> {
-        BoxTree::find_containing_tracked(self, b, dim, state)
-    }
-
-    fn extract_intersecting_into(&self, target: &DyadicBox, out: &mut Self) {
-        BoxTree::extract_intersecting_into(self, target, out)
-    }
-
-    fn iter_boxes(&self) -> Vec<DyadicBox> {
-        BoxTree::iter_boxes(self)
     }
 }
 

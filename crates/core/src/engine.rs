@@ -18,69 +18,20 @@
 
 use crate::{TetrisStats, TraceEvent};
 use boxstore::{
-    ArenaBoxTree, BoxOracle, BoxStore, BoxTree, CoverProbe, CoverageMarks, DescentProbe,
-    FrontierStack, ShardedBoxStore, StoreTuning, DEFAULT_INSERT_RING,
+    BoxOracle, BoxTree, CoverProbe, CoverageMarks, DescentProbe, FrontierStack, StoreTuning,
+    DEFAULT_INSERT_RING,
 };
-use boxtrie::RadixBoxTrie;
 use dyadic::{resolve::ordered_resolve, DyadicBox, DyadicInterval, Space};
 use obs::ObsSink;
-
-/// Which [`BoxStore`] backend holds the knowledge base.
-///
-/// The engine itself is generic over the store type; this enum is the
-/// *runtime* selector the type-erased entry points
-/// ([`run_with_config`], [`check_cover_with_config`]) and the workload
-/// bins dispatch on. Both backends answer every probe with bit-identical
-/// witnesses (asserted by `tests/differential_backend.rs`), so selecting
-/// one is purely a constant-factor decision.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Backend {
-    /// The paper's multilevel binary tree ([`boxstore::BoxTree`],
-    /// Appendix C.1) — one pointer hop per dyadic bit. The differential
-    /// oracle every other backend is checked against.
-    #[default]
-    Binary,
-    /// The path-compressed radix-2⁴ trie ([`boxtrie::RadixBoxTrie`]):
-    /// four bits per hop, unary chains collapsed into word-compared skip
-    /// prefixes, nodes in a flat arena.
-    Radix,
-    /// The binary tree in a packed-record arena layout
-    /// ([`boxstore::ArenaBoxTree`]): identical walks and witnesses to
-    /// `Binary`, with each node's children and metadata merged into one
-    /// 16-byte-aligned record so a visit touches a single cache line.
-    Arena,
-}
-
-impl std::fmt::Display for Backend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Backend::Binary => "binary",
-            Backend::Radix => "radix",
-            Backend::Arena => "arena",
-        })
-    }
-}
-
-impl std::str::FromStr for Backend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "binary" | "bin" | "tree" => Ok(Backend::Binary),
-            "radix" | "trie" => Ok(Backend::Radix),
-            "arena" | "soa" => Ok(Backend::Arena),
-            other => Err(format!(
-                "unknown backend {other:?} (expected binary|radix|arena)"
-            )),
-        }
-    }
-}
 
 /// How the engine walks the skeleton between knowledge-base changes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Descent {
     /// Persistent-stack descent (default): output/load events are
     /// absorbed in place and the walk resumes from the live frontier.
+    /// Outputs are reported *inside* the skeleton — the paper's
+    /// `TetrisSkeleton2` (proof of Theorem D.2, footnote 13); with
+    /// resolvent caching off this is the Theorem 5.1 configuration.
     #[default]
     Incremental,
     /// The paper's literal Algorithm 2: every event tears the descent
@@ -122,21 +73,8 @@ pub struct TetrisConfig {
     /// Resolution** (§5.1) — exponentially weaker on some inputs
     /// (Theorem 5.2), but still meets the AGM bound (Theorem 5.1).
     pub cache_resolvents: bool,
-    /// Report outputs *inside* the skeleton instead of restarting the
-    /// outer loop per tuple — the paper's `TetrisSkeleton2` (proof of
-    /// Theorem D.2, footnote 13). The incremental driver *is* that
-    /// skeleton, so this flag simply forces [`Descent::Incremental`]
-    /// regardless of [`TetrisConfig::descent`]; it is kept for paper
-    /// fidelity and for the Theorem 5.1 configuration (caching off).
-    pub inline_outputs: bool,
     /// Descent strategy between knowledge-base changes.
     pub descent: Descent,
-    /// Which box-store backend holds the knowledge base. Honored by the
-    /// type-erased entries ([`run_with_config`] and friends) and the
-    /// workload bins; the generic constructor [`Tetris::with_store`]
-    /// fixes the store *type* at compile time instead, and
-    /// [`Tetris::with_config`] always pins [`Backend::Binary`].
-    pub backend: Backend,
     /// Length of every store's rolling insert ring — the window of recent
     /// inserts a frame-saved probe frontier can be repaired against
     /// (default [`boxstore::DEFAULT_INSERT_RING`] = 256; must be at least
@@ -147,20 +85,6 @@ pub struct TetrisConfig {
     /// optimization, any subset is sound to merge (default
     /// [`crate::DEFAULT_MERGE_CAP`] = 4096).
     pub merge_cap: usize,
-    /// Subcube shard count for the knowledge base (default 1 =
-    /// monolithic). With `shards > 1` the type-erased entries wrap the
-    /// selected backend in [`boxstore::ShardedBoxStore`] — the same
-    /// backend partitioned into `shards` (rounded up to a power of two)
-    /// prefix-routed subcube stores plus a boundary spill. Witnesses,
-    /// outputs, and resolution counts are bit-identical to the
-    /// monolithic store; what changes is the preload (per-shard bulk
-    /// build, parallel when [`TetrisConfig::preload_threads`] allows)
-    /// and probe locality.
-    pub shards: usize,
-    /// Worker threads for the preload bulk build (`0` = all available
-    /// cores, default 1 = sequential). Only the sharded store can use
-    /// more than one; monolithic backends build sequentially regardless.
-    pub preload_threads: usize,
     /// Record [`TraceEvent`]s through a bounded [`obs::FlightRecorder`]
     /// ring. The ring keeps the most recent [`TetrisConfig::trace_capacity`]
     /// accepted events and accounts for everything it evicts
@@ -196,13 +120,9 @@ impl Default for TetrisConfig {
         TetrisConfig {
             preload: false,
             cache_resolvents: true,
-            inline_outputs: false,
             descent: Descent::Incremental,
-            backend: Backend::Binary,
             insert_ring: DEFAULT_INSERT_RING,
             merge_cap: crate::parallel::DEFAULT_MERGE_CAP,
-            shards: 1,
-            preload_threads: 1,
             trace: false,
             trace_capacity: obs::DEFAULT_TRACE_CAPACITY,
             trace_kinds: u32::MAX,
@@ -301,16 +221,15 @@ pub(crate) fn nav0(b: &DyadicBox) -> u64 {
     b.get(0).nav_word()
 }
 
-/// The Tetris solver (Algorithms 1 + 2) over any [`BoxOracle`], generic
-/// over the knowledge-base backend `S` (default: the binary [`BoxTree`];
-/// see [`Backend`] for runtime selection).
+/// The Tetris solver (Algorithms 1 + 2) over any [`BoxOracle`], with the
+/// knowledge base held in a [`BoxTree`].
 ///
 /// The ambient dimensions are already in **splitting attribute order**:
 /// the skeleton always splits the first thick dimension of its target.
-pub struct Tetris<'o, O: BoxOracle + ?Sized, S: BoxStore = BoxTree> {
+pub struct Tetris<'o, O: BoxOracle + ?Sized> {
     pub(crate) oracle: &'o O,
     pub(crate) space: Space,
-    pub(crate) kb: S,
+    pub(crate) kb: BoxTree,
     pub(crate) config: TetrisConfig,
     pub(crate) stats: TetrisStats,
     /// Bounded trace channel ([`TetrisConfig::trace`] only): a
@@ -326,11 +245,11 @@ pub struct Tetris<'o, O: BoxOracle + ?Sized, S: BoxStore = BoxTree> {
     point: Vec<u64>,
     /// Incremental knowledge-base probe state (descends advance the last
     /// failed probe's frontier instead of re-walking the store).
-    probe: DescentProbe<S::Entry>,
+    probe: DescentProbe,
     /// Per-frame saved probe frontiers (incremental descents only):
     /// right-sibling descents restore these and advance+repair instead of
     /// re-walking the store.
-    frontiers: FrontierStack<S::Entry>,
+    frontiers: FrontierStack,
     /// Coverage-epoch memo ([`Descent::RestartMemo`] only).
     marks: CoverageMarks,
     /// Observability ledger ([`TetrisConfig::obs`] only); the
@@ -340,21 +259,42 @@ pub struct Tetris<'o, O: BoxOracle + ?Sized, S: BoxStore = BoxTree> {
 }
 
 impl<'o, O: BoxOracle + ?Sized> Tetris<'o, O> {
-    /// Build a binary-backend engine with explicit configuration.
-    ///
-    /// This constructor pins `S = BoxTree` so every existing call site
-    /// infers its types; it does **not** dispatch on
-    /// [`TetrisConfig::backend`] — use [`run_with_config`] (or
-    /// [`Tetris::with_store`] with an explicit store type) for that.
+    /// Build an engine with explicit configuration. With
+    /// [`TetrisConfig::preload`] set this streams the oracle's whole box
+    /// set into the knowledge base, so callers can time the preload
+    /// (this call) and the solve (the terminal call) separately.
     pub fn with_config(oracle: &'o O, config: TetrisConfig) -> Self {
-        debug_assert_eq!(
-            config.backend,
-            Backend::Binary,
-            "Tetris::with_config always builds the binary backend; use \
-             run_with_config (or Tetris::<_, _, S>::with_store) to honor \
-             TetrisConfig::backend"
-        );
-        Self::with_store(oracle, config)
+        let space = oracle.space();
+        let tuning = StoreTuning {
+            insert_ring: config.insert_ring,
+        };
+        let mut engine = Tetris {
+            oracle,
+            space,
+            kb: BoxTree::with_tuning(space.n(), tuning),
+            config,
+            stats: TetrisStats::new(space.n()),
+            trace: recorder_for(&config),
+            stack: Vec::new(),
+            hits: Vec::new(),
+            point: Vec::new(),
+            probe: DescentProbe::new(),
+            frontiers: FrontierStack::new(),
+            marks: CoverageMarks::new(),
+            obs: config.obs.then(Box::default),
+        };
+        if config.preload {
+            let kb = &mut engine.kb;
+            let mut novel = 0u64;
+            let enumerable = oracle.for_each_box(&mut |b: &DyadicBox| {
+                if kb.insert(b) {
+                    novel += 1;
+                }
+            });
+            assert!(enumerable, "preloaded mode requires an enumerable oracle");
+            engine.stats.kb_inserts += novel;
+        }
+        engine
     }
 
     /// `Tetris-Preloaded` (§4.3): the knowledge base starts as all of `B`.
@@ -373,64 +313,10 @@ impl<'o, O: BoxOracle + ?Sized> Tetris<'o, O> {
     pub fn reloaded(oracle: &'o O) -> Self {
         Self::with_config(oracle, TetrisConfig::default())
     }
-}
-
-impl<'o, O: BoxOracle + ?Sized, S: BoxStore> Tetris<'o, O, S> {
-    /// Build an engine whose knowledge base lives in an explicit
-    /// [`BoxStore`] type (e.g. `Tetris::<_, RadixBoxTrie>::with_store`).
-    /// [`TetrisConfig::backend`] is *not* consulted — the type parameter
-    /// **is** the selection; the field exists for the type-erased
-    /// dispatchers.
-    pub fn with_store(oracle: &'o O, config: TetrisConfig) -> Self {
-        let space = oracle.space();
-        let tuning = StoreTuning {
-            insert_ring: config.insert_ring,
-            shards: config.shards,
-        };
-        let mut engine = Tetris {
-            oracle,
-            space,
-            kb: S::with_tuning(space.n(), tuning),
-            config,
-            stats: TetrisStats::new(space.n()),
-            trace: recorder_for(&config),
-            stack: Vec::new(),
-            hits: Vec::new(),
-            point: Vec::new(),
-            probe: DescentProbe::new(),
-            frontiers: FrontierStack::new(),
-            marks: CoverageMarks::new(),
-            obs: config.obs.then(Box::default),
-        };
-        if config.preload {
-            // The bulk build: sequential single pass on monolithic
-            // stores, per-shard parallel build on the sharded store when
-            // `preload_threads` allows. Novel-insert accounting is
-            // identical either way (routing is deterministic).
-            let threads = if config.preload_threads == 0 {
-                std::thread::available_parallelism().map_or(1, |p| p.get())
-            } else {
-                config.preload_threads
-            };
-            let novel = engine
-                .kb
-                .bulk_preload(threads, |sink| oracle.for_each_box(sink))
-                .expect("preloaded mode requires an enumerable oracle");
-            engine.stats.kb_inserts += novel;
-        }
-        engine
-    }
 
     /// Enable/disable resolvent caching (builder style).
     pub fn cache_resolvents(mut self, yes: bool) -> Self {
         self.config.cache_resolvents = yes;
-        self
-    }
-
-    /// Enable/disable inline output reporting, the paper's
-    /// `TetrisSkeleton2` (builder style).
-    pub fn inline_outputs(mut self, yes: bool) -> Self {
-        self.config.inline_outputs = yes;
         self
     }
 
@@ -455,6 +341,13 @@ impl<'o, O: BoxOracle + ?Sized, S: BoxStore> Tetris<'o, O, S> {
     /// Current knowledge-base size (stored boxes).
     pub fn knowledge_size(&self) -> usize {
         self.kb.len()
+    }
+
+    /// The knowledge base's memory ledger ([`BoxTree::mem_stats`]): arena
+    /// nodes, exact bytes, deepest link chain. It walks every node —
+    /// meant for once-per-run reporting, not the hot path.
+    pub fn mem_stats(&self) -> obs::MemStats {
+        self.kb.mem_stats()
     }
 
     /// Copy incremental-probe and flight-recorder diagnostics into the
@@ -485,8 +378,7 @@ impl<'o, O: BoxOracle + ?Sized, S: BoxStore> Tetris<'o, O, S> {
     /// Whether events tear the descent down (paper-literal Algorithm 2).
     #[inline]
     fn restarting(&self) -> bool {
-        !self.config.inline_outputs
-            && matches!(self.config.descent, Descent::Restart | Descent::RestartMemo)
+        matches!(self.config.descent, Descent::Restart | Descent::RestartMemo)
     }
 
     /// Whether coverage-epoch marks are consulted. Marks record witnesses
@@ -614,7 +506,7 @@ impl<'o, O: BoxOracle + ?Sized, S: BoxStore> Tetris<'o, O, S> {
                         .kb
                         .find_containing_tracked(&cur, probe_dim, &mut self.probe);
                     if let Some(l) = &mut self.obs {
-                        l.observe_walk(self.probe.entries.len() as u64);
+                        l.observe_walk(self.probe.frontier_len() as u64);
                         if self.probe.repairs > repairs_before {
                             l.observe_repair(self.probe.last_repair_window);
                             if self.probe.last_repair_hit {
@@ -873,130 +765,6 @@ enum Absorb {
     Witness(DyadicBox),
     /// Tear down the stack and restart from the universe.
     Restart,
-}
-
-/// Expand `$body` once per concrete store type, binding the type alias
-/// `$store` to the selection `(TetrisConfig::backend,
-/// TetrisConfig::shards > 1)` names: the three monolithic backends, or
-/// any of them wrapped in [`boxstore::ShardedBoxStore`]. One macro so
-/// the three type-erased entries cannot drift out of sync.
-macro_rules! with_backend {
-    ($config:expr, $store:ident => $body:expr) => {
-        match ($config.backend, $config.shards > 1) {
-            (Backend::Binary, false) => {
-                type $store = BoxTree;
-                $body
-            }
-            (Backend::Binary, true) => {
-                type $store = ShardedBoxStore<BoxTree>;
-                $body
-            }
-            (Backend::Radix, false) => {
-                type $store = RadixBoxTrie;
-                $body
-            }
-            (Backend::Radix, true) => {
-                type $store = ShardedBoxStore<RadixBoxTrie>;
-                $body
-            }
-            (Backend::Arena, false) => {
-                type $store = ArenaBoxTree;
-                $body
-            }
-            (Backend::Arena, true) => {
-                type $store = ShardedBoxStore<ArenaBoxTree>;
-                $body
-            }
-        }
-    };
-}
-
-/// A fully built, type-erased engine: the store is chosen, the knowledge
-/// base is preloaded (when the config asks), and exactly one terminal
-/// call remains. [`prepare_with_config`] is the **only** place the
-/// `(Backend, shards > 1)` selection is expanded — every runtime
-/// dispatch in the workspace (the plan layer's `PreparedQuery`, the
-/// bench bins, the examples) routes through it, so the six store types
-/// cannot drift apart across call sites.
-///
-/// The terminal methods consume the engine (`Box<Self>`), mirroring the
-/// by-value [`Tetris::run`] family.
-pub trait PreparedEngine<'o> {
-    /// Run the full pass, materializing output tuples.
-    fn run(self: Box<Self>) -> TetrisOutput;
-    /// Run the full pass streaming tuples to `f`; returns final stats.
-    fn for_each_output(self: Box<Self>, f: &mut dyn FnMut(&[u64])) -> TetrisStats;
-    /// Boolean Box Cover Problem: stop at the first witness tuple.
-    fn check_cover(self: Box<Self>) -> (bool, TetrisStats);
-    /// Boxes currently in the knowledge base (after any preload).
-    fn knowledge_size(&self) -> usize;
-    /// The knowledge base's memory ledger ([`BoxStore::mem_stats`]):
-    /// arena nodes, exact bytes, deepest link chain. Cheap relative to a
-    /// solve but it walks every node — meant for once-per-run reporting,
-    /// not the hot path.
-    fn mem_stats(&self) -> obs::MemStats;
-}
-
-impl<'o, O: BoxOracle + ?Sized, S: BoxStore> PreparedEngine<'o> for Tetris<'o, O, S> {
-    fn run(self: Box<Self>) -> TetrisOutput {
-        (*self).run()
-    }
-
-    fn for_each_output(self: Box<Self>, f: &mut dyn FnMut(&[u64])) -> TetrisStats {
-        (*self).for_each_output(f)
-    }
-
-    fn check_cover(self: Box<Self>) -> (bool, TetrisStats) {
-        (*self).check_cover()
-    }
-
-    fn knowledge_size(&self) -> usize {
-        Tetris::knowledge_size(self)
-    }
-
-    fn mem_stats(&self) -> obs::MemStats {
-        self.kb.mem_stats()
-    }
-}
-
-/// Build an engine for `oracle`, dispatching on [`TetrisConfig::backend`]
-/// and [`TetrisConfig::shards`] — the single runtime entry point behind
-/// which the backend match lives. Building includes the preload bulk
-/// build when [`TetrisConfig::preload`] is set, so callers can time the
-/// preload (this call) and the solve (the terminal [`PreparedEngine`]
-/// call) separately.
-pub fn prepare_with_config<'o, O: BoxOracle + ?Sized>(
-    oracle: &'o O,
-    config: TetrisConfig,
-) -> Box<dyn PreparedEngine<'o> + 'o> {
-    with_backend!(config, S => Box::new(Tetris::<O, S>::with_store(oracle, config)))
-}
-
-/// Run a full Tetris pass, dispatching on [`TetrisConfig::backend`] and
-/// [`TetrisConfig::shards`] — the type-erased entry the workload bins
-/// use for runtime backend selection (A/B sweeps, `--backend` /
-/// `--shards` flags).
-pub fn run_with_config<O: BoxOracle + ?Sized>(oracle: &O, config: TetrisConfig) -> TetrisOutput {
-    prepare_with_config(oracle, config).run()
-}
-
-/// [`run_with_config`] streaming tuples to a callback instead of
-/// materializing them; returns the final stats.
-pub fn for_each_output_with_config<O: BoxOracle + ?Sized>(
-    oracle: &O,
-    config: TetrisConfig,
-    mut f: impl FnMut(&[u64]),
-) -> TetrisStats {
-    prepare_with_config(oracle, config).for_each_output(&mut f)
-}
-
-/// Boolean BCP ([`Tetris::check_cover`]) dispatching on
-/// [`TetrisConfig::backend`] and [`TetrisConfig::shards`].
-pub fn check_cover_with_config<O: BoxOracle + ?Sized>(
-    oracle: &O,
-    config: TetrisConfig,
-) -> (bool, TetrisStats) {
-    prepare_with_config(oracle, config).check_cover()
 }
 
 #[cfg(test)]
@@ -1332,24 +1100,22 @@ mod tests {
             let count = rng.gen_range(0..20);
             let boxes = random_instance(&mut rng, n, d, count);
             let oracle = SetOracle::new(space, boxes);
-            let outer = Tetris::reloaded(&oracle).run();
-            let inline = Tetris::reloaded(&oracle).inline_outputs(true).run();
-            assert_eq!(outer.tuples, inline.tuples);
-            // Inline mode never restarts (and forces the incremental
-            // driver even under a restart descent).
-            assert_eq!(inline.stats.restarts, 1);
-            let forced = Tetris::reloaded(&oracle)
-                .inline_outputs(true)
-                .descent(Descent::Restart)
+            // The paper's outer loop restarts per event; the incremental
+            // descent reports outputs inline (`TetrisSkeleton2`).
+            let outer = Tetris::reloaded(&oracle).descent(Descent::Restart).run();
+            let inline = Tetris::reloaded(&oracle)
+                .descent(Descent::Incremental)
                 .run();
-            assert_eq!(forced.stats.restarts, 1);
-            assert_eq!(outer.tuples, forced.tuples);
+            assert_eq!(outer.tuples, inline.tuples);
+            // Inline mode never restarts.
+            assert_eq!(inline.stats.restarts, 1);
             // Also with caching disabled (Tree Ordered + Skeleton2).
             let tree = Tetris::reloaded(&oracle)
-                .inline_outputs(true)
+                .descent(Descent::Incremental)
                 .cache_resolvents(false)
                 .run();
             assert_eq!(outer.tuples, tree.tuples);
+            assert_eq!(tree.stats.restarts, 1);
         }
     }
 

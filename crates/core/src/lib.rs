@@ -28,7 +28,7 @@
 //! [`Descent::RestartMemo`] layers `boxstore`'s coverage-epoch marks on
 //! top of it. [`Descent::Parallel`] spreads the same descent over a
 //! work-stealing thread pool (the `executor` crate): pending sibling
-//! frames are donated to starving workers against sharded box stores,
+//! frames are donated to starving workers against per-task overlay stores,
 //! and the output tuple sequence stays bit-identical to the sequential
 //! run (see `parallel`'s module docs for the merge protocol).
 //!
@@ -57,10 +57,7 @@ mod parallel;
 mod stats;
 mod trace;
 
-pub use engine::{
-    check_cover_with_config, for_each_output_with_config, prepare_with_config, run_with_config,
-    Backend, Descent, PreparedEngine, Tetris, TetrisConfig, TetrisOutput,
-};
+pub use engine::{Descent, Tetris, TetrisConfig, TetrisOutput};
 pub use parallel::DEFAULT_MERGE_CAP;
 pub use stats::TetrisStats;
 pub use trace::TraceEvent;

@@ -1,7 +1,6 @@
 //! The parallel skeleton descent (`Descent::Parallel`): Tetris's outer
-//! loop spread over a work-stealing thread pool, generic over the
-//! [`BoxStore`] backend (both the frozen base tree and every overlay
-//! shard build on whatever backend the engine was constructed with).
+//! loop spread over a work-stealing thread pool. The frozen base and
+//! every overlay shard are [`BoxTree`]s.
 //!
 //! # Why the output set cannot change
 //!
@@ -18,7 +17,7 @@
 //!   space — a donated frame is a pending *right sibling* the donor has
 //!   not entered, so no unit box is ever probed by two tasks and no
 //!   output can be double-reported.
-//! * **Sharded stores.** Every task probes the frozen pre-descent
+//! * **Overlay shards.** Every task probes the frozen pre-descent
 //!   knowledge base (the `Tetris-Preloaded` store, shared read-only by
 //!   all workers, where frame-saved frontiers advance without ever
 //!   needing repair) plus a private overlay shard holding the task's
@@ -51,7 +50,7 @@
 
 use crate::engine::{nav0, Frame, Tetris, TetrisOutput};
 use crate::TetrisStats;
-use boxstore::{BoxOracle, BoxStore, DescentProbe, FrontierStack, StoreTuning};
+use boxstore::{BoxOracle, BoxTree, DescentProbe, FrontierStack, StoreTuning};
 use dyadic::{resolve::ordered_resolve, DyadicBox, DyadicInterval, Space};
 use executor::{Pool, Worker};
 use obs::{Ledger, ObsSink, Phase};
@@ -77,23 +76,23 @@ const SCRATCH_CAP: usize = 4;
 /// One donated subtree: the half-box target plus the shard seeded from
 /// the donor's overlay. `cell` carries the result back (absent only for
 /// the root task, whose witness nobody joins).
-struct Task<S> {
+struct Task {
     target: DyadicBox,
-    shard: S,
-    cell: Option<Arc<DonationCell<S>>>,
+    shard: BoxTree,
+    cell: Option<Arc<DonationCell>>,
 }
 
 /// The rendezvous between a donor frame and its thief.
-struct DonationCell<S> {
+struct DonationCell {
     /// Set by the thief once `outcome` is written.
     done: AtomicBool,
     /// Set by the donor when the frame's target got covered (the stolen
     /// subtree became dead work) or the run is stopping.
     cancel: AtomicBool,
-    outcome: Mutex<Option<Outcome<S>>>,
+    outcome: Mutex<Option<Outcome>>,
 }
 
-impl<S> DonationCell<S> {
+impl DonationCell {
     fn new() -> Self {
         DonationCell {
             done: AtomicBool::new(false),
@@ -104,7 +103,7 @@ impl<S> DonationCell<S> {
 }
 
 /// What a completed task reports back to its donor.
-struct Outcome<S> {
+struct Outcome {
     /// A knowledge-base box covering the task's whole target (meaningful
     /// only when `cancelled` is false).
     witness: DyadicBox,
@@ -114,7 +113,7 @@ struct Outcome<S> {
     /// The task observed a cancellation and unwound early.
     cancelled: bool,
     /// The task's overlay store, handed back for reuse.
-    shard: S,
+    shard: BoxTree,
 }
 
 /// What each task contributes to the final merge: its output tuples,
@@ -123,12 +122,12 @@ struct Outcome<S> {
 type TaskReport = (Vec<Vec<u64>>, TetrisStats, Option<Box<Ledger>>);
 
 /// Run-wide shared state (borrowed by every worker via the scoped pool).
-struct ParCtx<'a, O: BoxOracle + ?Sized, S> {
+struct ParCtx<'a, O: BoxOracle + ?Sized> {
     oracle: &'a O,
     space: Space,
     /// The pre-descent knowledge base (preloaded gap set, or empty for
     /// reloaded mode), frozen for the duration of the run.
-    base: &'a S,
+    base: &'a BoxTree,
     cache_resolvents: bool,
     /// Store tuning for freshly allocated overlay shards.
     tuning: StoreTuning,
@@ -142,15 +141,15 @@ struct ParCtx<'a, O: BoxOracle + ?Sized, S> {
     stop: &'a AtomicBool,
     /// Per-worker pools of retired overlay shards, refilled by joins and
     /// drained by donations (shard reuse instead of per-task allocation).
-    scratch: &'a [Mutex<Vec<S>>],
+    scratch: &'a [Mutex<Vec<BoxTree>>],
     /// Every task pushes (outputs, stats) here; merged after the pool
     /// drains.
     reports: &'a Mutex<Vec<TaskReport>>,
 }
 
-impl<O: BoxOracle + ?Sized, S: BoxStore> ParCtx<'_, O, S> {
+impl<O: BoxOracle + ?Sized> ParCtx<'_, O> {
     /// Hand a retired shard back to `worker`'s pool (dropped when full).
-    fn retire_shard(&self, worker: usize, shard: S) {
+    fn retire_shard(&self, worker: usize, shard: BoxTree) {
         let mut pool = self.scratch[worker].lock().expect("scratch lock poisoned");
         if pool.len() < SCRATCH_CAP {
             pool.push(shard);
@@ -160,8 +159,8 @@ impl<O: BoxOracle + ?Sized, S: BoxStore> ParCtx<'_, O, S> {
 
 /// Entry point used by [`Tetris::run`] & friends for
 /// [`crate::Descent::Parallel`].
-pub(crate) fn run_parallel<O: BoxOracle + ?Sized, S: BoxStore>(
-    engine: Tetris<'_, O, S>,
+pub(crate) fn run_parallel<O: BoxOracle + ?Sized>(
+    engine: Tetris<'_, O>,
     threads: usize,
     stop_on_first: bool,
 ) -> TetrisOutput {
@@ -186,13 +185,10 @@ pub(crate) fn run_parallel<O: BoxOracle + ?Sized, S: BoxStore>(
     );
     let stop = AtomicBool::new(false);
     let reports = Mutex::new(Vec::new());
-    let scratch: Vec<Mutex<Vec<S>>> = (0..threads).map(|_| Mutex::new(Vec::new())).collect();
-    // Overlay shards are built with the same tuning as the base so
-    // `extract_intersecting_into` pairs same-shape stores (the sharded
-    // store requires matching route widths).
+    let scratch: Vec<Mutex<Vec<BoxTree>>> = (0..threads).map(|_| Mutex::new(Vec::new())).collect();
+    // Overlay shards are built with the same tuning as the base.
     let tuning = StoreTuning {
         insert_ring: config.insert_ring,
-        shards: config.shards,
     };
     let ctx = ParCtx {
         oracle,
@@ -212,7 +208,7 @@ pub(crate) fn run_parallel<O: BoxOracle + ?Sized, S: BoxStore>(
     stats.par_shard_allocs += 1;
     let root = Task {
         target: DyadicBox::universe(n),
-        shard: S::with_tuning(n, tuning),
+        shard: BoxTree::with_tuning(n, tuning),
         cell: None,
     };
     Pool::scope(threads, vec![root], |task, worker| {
@@ -241,22 +237,22 @@ pub(crate) fn run_parallel<O: BoxOracle + ?Sized, S: BoxStore>(
 
 /// A frame of the parallel descent: the sequential [`Frame`] plus the
 /// rendezvous handle when its 1-side has been donated.
-struct ParFrame<S> {
+struct ParFrame {
     frame: Frame,
-    donated: Option<Arc<DonationCell<S>>>,
+    donated: Option<Arc<DonationCell>>,
 }
 
 /// One task's descent state: a lean re-instantiation of the sequential
 /// incremental driver against (frozen base ∪ overlay shard).
-struct SubEngine<S: BoxStore> {
-    shard: S,
-    stack: Vec<ParFrame<S>>,
+struct SubEngine {
+    shard: BoxTree,
+    stack: Vec<ParFrame>,
     /// Probe state against the frozen base: saved frontiers never need
     /// repair here, because the base cannot change mid-run.
-    base_probe: DescentProbe<S::Entry>,
-    frontiers: FrontierStack<S::Entry>,
+    base_probe: DescentProbe,
+    frontiers: FrontierStack,
     /// Probe state against the (small, mutating) overlay shard.
-    shard_probe: DescentProbe<S::Entry>,
+    shard_probe: DescentProbe,
     stats: TetrisStats,
     outputs: Vec<Vec<u64>>,
     /// Inserted boxes that escape the task's target (merge-on-return).
@@ -276,11 +272,7 @@ struct SubEngine<S: BoxStore> {
     obs: Option<Box<Ledger>>,
 }
 
-fn run_task<O: BoxOracle + ?Sized, S: BoxStore>(
-    ctx: &ParCtx<'_, O, S>,
-    task: Task<S>,
-    worker: &Worker<'_, Task<S>>,
-) {
+fn run_task<O: BoxOracle + ?Sized>(ctx: &ParCtx<'_, O>, task: Task, worker: &Worker<'_, Task>) {
     let n = ctx.space.n();
     let (target, shard, cell) = (task.target, task.shard, task.cell);
     let mut eng = SubEngine {
@@ -333,16 +325,16 @@ fn run_task<O: BoxOracle + ?Sized, S: BoxStore>(
         .push((eng.outputs, eng.stats, eng.obs));
 }
 
-impl<S: BoxStore> SubEngine<S> {
+impl SubEngine {
     /// Run the descent over `target`; returns a witness covering the
     /// whole target (or a placeholder when cancelled — a cancelled task's
     /// witness is never read, because its donor is itself unwinding).
     fn descend<O: BoxOracle + ?Sized>(
         &mut self,
-        ctx: &ParCtx<'_, O, S>,
-        worker: &Worker<'_, Task<S>>,
+        ctx: &ParCtx<'_, O>,
+        worker: &Worker<'_, Task>,
         target: DyadicBox,
-        cell: Option<&DonationCell<S>>,
+        cell: Option<&DonationCell>,
     ) -> DyadicBox {
         let mut cur = target;
         'descend: loop {
@@ -473,7 +465,7 @@ impl<S: BoxStore> SubEngine<S> {
     /// then the overlay shard.
     fn probe<O: BoxOracle + ?Sized>(
         &mut self,
-        ctx: &ParCtx<'_, O, S>,
+        ctx: &ParCtx<'_, O>,
         cur: &DyadicBox,
         probe_dim: usize,
     ) -> Option<DyadicBox> {
@@ -495,7 +487,7 @@ impl<S: BoxStore> SubEngine<S> {
         }
         if let Some(a) = hit {
             if let Some(l) = &mut self.obs {
-                l.observe_walk(self.base_probe.entries.len() as u64);
+                l.observe_walk(self.base_probe.frontier_len() as u64);
             }
             return Some(a);
         }
@@ -510,7 +502,9 @@ impl<S: BoxStore> SubEngine<S> {
                     l.observe_repair_hit_at(nav0(cur));
                 }
             }
-            l.observe_walk((self.base_probe.entries.len() + self.shard_probe.entries.len()) as u64);
+            l.observe_walk(
+                (self.base_probe.frontier_len() + self.shard_probe.frontier_len()) as u64,
+            );
         }
         hit
     }
@@ -518,11 +512,7 @@ impl<S: BoxStore> SubEngine<S> {
     /// Handle an uncovered unit box: output it or load its gap boxes —
     /// outputs are decided by the oracle alone, which is what makes the
     /// parallel output set scheduling-independent.
-    fn absorb<O: BoxOracle + ?Sized>(
-        &mut self,
-        ctx: &ParCtx<'_, O, S>,
-        cur: &DyadicBox,
-    ) -> DyadicBox {
+    fn absorb<O: BoxOracle + ?Sized>(&mut self, ctx: &ParCtx<'_, O>, cur: &DyadicBox) -> DyadicBox {
         self.stats.oracle_probes += 1;
         let mut hits = std::mem::take(&mut self.hits);
         ctx.oracle.boxes_containing_into(cur, &mut hits);
@@ -563,7 +553,7 @@ impl<S: BoxStore> SubEngine<S> {
     }
 
     /// Insert a resolvent into the shard, logging it for merge-on-return.
-    fn insert_shard<O: BoxOracle + ?Sized>(&mut self, ctx: &ParCtx<'_, O, S>, w: &DyadicBox) {
+    fn insert_shard<O: BoxOracle + ?Sized>(&mut self, ctx: &ParCtx<'_, O>, w: &DyadicBox) {
         if self.shard.insert(w) {
             self.stats.kb_inserts += 1;
             if let Some(l) = &mut self.obs {
@@ -584,7 +574,7 @@ impl<S: BoxStore> SubEngine<S> {
 
     /// Route a fresh resolvent through the streaming slot: the previous
     /// one is dropped if subsumed, materialized otherwise.
-    fn stream_resolvent<O: BoxOracle + ?Sized>(&mut self, ctx: &ParCtx<'_, O, S>, w: DyadicBox) {
+    fn stream_resolvent<O: BoxOracle + ?Sized>(&mut self, ctx: &ParCtx<'_, O>, w: DyadicBox) {
         match self.pending.take() {
             Some(p) if w.contains(&p) => self.stats.kb_insert_skips += 1,
             Some(p) => self.insert_shard(ctx, &p),
@@ -594,7 +584,7 @@ impl<S: BoxStore> SubEngine<S> {
     }
 
     /// Materialize the in-flight resolvent (no-op when none is pending).
-    fn flush_pending<O: BoxOracle + ?Sized>(&mut self, ctx: &ParCtx<'_, O, S>) {
+    fn flush_pending<O: BoxOracle + ?Sized>(&mut self, ctx: &ParCtx<'_, O>) {
         if let Some(p) = self.pending.take() {
             self.insert_shard(ctx, &p);
         }
@@ -605,7 +595,7 @@ impl<S: BoxStore> SubEngine<S> {
     /// future probes.
     fn merge_returned<O: BoxOracle + ?Sized>(
         &mut self,
-        ctx: &ParCtx<'_, O, S>,
+        ctx: &ParCtx<'_, O>,
         target: &DyadicBox,
         inserts: Vec<DyadicBox>,
     ) {
@@ -632,8 +622,8 @@ impl<S: BoxStore> SubEngine<S> {
     /// shard from a recycled scratch store when one is available.
     fn donate<O: BoxOracle + ?Sized>(
         &mut self,
-        ctx: &ParCtx<'_, O, S>,
-        worker: &Worker<'_, Task<S>>,
+        ctx: &ParCtx<'_, O>,
+        worker: &Worker<'_, Task>,
         cur: &DyadicBox,
     ) {
         let n = ctx.space.n();
@@ -659,7 +649,7 @@ impl<S: BoxStore> SubEngine<S> {
                 Some(s) => s,
                 None => {
                     self.stats.par_shard_allocs += 1;
-                    S::with_tuning(n, ctx.tuning)
+                    BoxTree::with_tuning(n, ctx.tuning)
                 }
             };
             // `extract_intersecting_into` clears the shard before
@@ -684,11 +674,11 @@ impl<S: BoxStore> SubEngine<S> {
     /// `None` means this task itself got cancelled while waiting.
     fn join<O: BoxOracle + ?Sized>(
         &mut self,
-        ctx: &ParCtx<'_, O, S>,
-        worker: &Worker<'_, Task<S>>,
-        cell: Option<&DonationCell<S>>,
-        dcell: &Arc<DonationCell<S>>,
-    ) -> Option<Outcome<S>> {
+        ctx: &ParCtx<'_, O>,
+        worker: &Worker<'_, Task>,
+        cell: Option<&DonationCell>,
+        dcell: &Arc<DonationCell>,
+    ) -> Option<Outcome> {
         worker.help_while(|| !dcell.done.load(Ordering::Acquire) && !stopping(ctx, cell));
         if !dcell.done.load(Ordering::Acquire) {
             // We stopped waiting because the run is unwinding; release
@@ -744,9 +734,6 @@ impl<S: BoxStore> SubEngine<S> {
     }
 }
 
-fn stopping<O: BoxOracle + ?Sized, S>(
-    ctx: &ParCtx<'_, O, S>,
-    cell: Option<&DonationCell<S>>,
-) -> bool {
+fn stopping<O: BoxOracle + ?Sized>(ctx: &ParCtx<'_, O>, cell: Option<&DonationCell>) -> bool {
     ctx.stop.load(Ordering::Relaxed) || cell.is_some_and(|c| c.cancel.load(Ordering::Relaxed))
 }

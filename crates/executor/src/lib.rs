@@ -29,18 +29,12 @@
 //! The crate is deliberately Tetris-agnostic — tasks are any `Send`
 //! type — so the descent-specific ownership/merge protocol lives with
 //! the engine (`tetris-core`), not the scheduler.
-//!
-//! For the opposite workload shape — a *fixed* set of independent parts
-//! with one result each (the sharded preload bulk build) — the crate
-//! also provides [`scoped_parts`], a deterministic scoped parallel-for.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod bulk;
 mod deque;
 mod pool;
 
-pub use bulk::scoped_parts;
 pub use deque::WorkDeque;
 pub use pool::{Pool, Worker};

@@ -1,6 +1,6 @@
 //! Zero-dependency observability layer for the Tetris engine stack:
 //! wall-clock **phase spans**, power-of-two-bucket **histograms**,
-//! per-backend **memory ledgers**, a per-subtree **attribution ledger**,
+//! box-store **memory ledgers**, a per-subtree **attribution ledger**,
 //! a bounded **flight recorder**, and a Chrome-trace **span exporter** —
 //! everything ROADMAP items 1–3 and 5 need as evidence, with nothing the
 //! metrics-off hot path has to pay for.
@@ -139,12 +139,10 @@ pub struct SpanTotals {
     pub secs: f64,
 }
 
-/// Memory ledger of one box-store backend: what `BoxStore::mem_stats`
-/// reports, and what the sharded wrapper sums across its sub-stores.
+/// Memory ledger of one box store: what `BoxTree::mem_stats` reports.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MemStats {
-    /// Arena nodes allocated (the backend's `node_count`, plus side
-    /// arenas like the radix spill pool).
+    /// Arena nodes allocated (the store's `node_count`).
     pub nodes: u64,
     /// Bytes held by those node arenas (`size_of`-exact for the node
     /// records; excludes the insert ring and transient scratch).
@@ -152,17 +150,6 @@ pub struct MemStats {
     /// Longest link chain from a root to any node, in hops — the walk an
     /// adversarial full probe would pay.
     pub max_depth: u64,
-}
-
-impl MemStats {
-    /// Merge a sub-store's ledger (shard summing: nodes and bytes add,
-    /// depths take the max — probes fan out by prefix, they don't chain
-    /// through shards).
-    pub fn absorb(&mut self, other: &MemStats) {
-        self.nodes += other.nodes;
-        self.bytes += other.bytes;
-        self.max_depth = self.max_depth.max(other.max_depth);
-    }
 }
 
 /// Default SAO-prefix width of an [`AttributionLedger`]: resolutions are
@@ -214,10 +201,10 @@ impl AttrRow {
 /// encoding used by the dyadic layer) — i.e. by the depth-`k` subtree of
 /// the SAO's first attribute that the box sits under. Boxes whose
 /// dimension-0 interval is shorter than `k` bits land in a dedicated
-/// **short row** (index [`AttributionLedger::short_row`]), mirroring the
-/// sharded store's boundary-spill convention, so every observation has
-/// exactly one row and the ledger stays balanced: the `resolutions`
-/// column sums to `TetrisStats::resolutions` in every descent mode.
+/// **short row** (index [`AttributionLedger::short_row`]), so every
+/// observation has exactly one row and the ledger stays balanced: the
+/// `resolutions` column sums to `TetrisStats::resolutions` in every
+/// descent mode.
 ///
 /// This crate has no dyadic dependency, so observers hand in the raw
 /// `u64` navigation word; [`AttributionLedger::row_of`] decodes it.
@@ -1181,24 +1168,5 @@ mod tests {
         assert_eq!(lines.len(), 6);
         assert!(lines[1].ends_with(','));
         assert!(!lines[4].ends_with(','));
-    }
-
-    #[test]
-    fn mem_stats_absorb_sums_and_maxes() {
-        let mut m = MemStats {
-            nodes: 10,
-            bytes: 160,
-            max_depth: 5,
-        };
-        m.absorb(&MemStats {
-            nodes: 3,
-            bytes: 48,
-            max_depth: 9,
-        });
-        assert_eq!(m.nodes, 13);
-        assert_eq!(m.bytes, 208);
-        assert_eq!(m.max_depth, 9);
-        m.absorb(&MemStats::default());
-        assert_eq!(m.max_depth, 9);
     }
 }

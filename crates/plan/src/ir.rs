@@ -102,9 +102,9 @@ impl<'a> QueryPlanBuilder<'a> {
         self
     }
 
-    /// Set the execution config carried by the plan (backend, shards,
-    /// preload threads, descent mode). Defaults to a preloaded
-    /// single-threaded binary-backend run.
+    /// Set the execution config carried by the plan (preload, descent
+    /// mode, observability). Defaults to a preloaded single-threaded
+    /// incremental run.
     pub fn config(mut self, config: TetrisConfig) -> Self {
         self.config = config;
         self
@@ -136,8 +136,9 @@ impl<'a> QueryPlanBuilder<'a> {
         let (sao, sao_source): (Vec<String>, SaoSource) = match &self.policy {
             SaoPolicy::Forced(s) => {
                 assert_eq!(s.len(), attrs.len(), "SAO must cover all attributes");
-                for a in s {
+                for (i, a) in s.iter().enumerate() {
                     assert!(attrs.contains(a), "SAO names unknown attribute {a:?}");
+                    assert!(!s[..i].contains(a), "SAO repeats attribute {a:?}");
                 }
                 (s.clone(), SaoSource::Forced)
             }
@@ -258,5 +259,25 @@ impl<'a> QueryPlan<'a> {
     /// indexes (relations are copied in), so it can outlive the inputs.
     pub fn prepare(self) -> PreparedQuery {
         PreparedQuery::from_plan(self)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use relation::Schema;
+
+    #[test]
+    #[should_panic(expected = "SAO repeats attribute \"A\"")]
+    fn forced_sao_with_a_repeated_attribute_is_rejected() {
+        let r = Relation::new(Schema::uniform(&["X", "Y"], 2), vec![vec![0, 1]]);
+        let s = Relation::new(Schema::uniform(&["X", "Y"], 2), vec![vec![1, 2]]);
+        // Right length, every name known — but `C` is missing and `A`
+        // appears twice.
+        let _ = QueryPlanBuilder::new(2)
+            .atom("R", &r, &["A", "B"])
+            .atom("S", &s, &["B", "C"])
+            .sao(&["A", "A", "B"])
+            .plan();
     }
 }

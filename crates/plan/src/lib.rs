@@ -11,23 +11,21 @@
 //!    minimum-induced-width elimination order otherwise per Theorem 4.9,
 //!    with the fhtw elimination order of `query::cover::fhtw` and a
 //!    forced-order override as experiment knobs). The plan also carries
-//!    the execution config (backend × shards × preload threads × descent
-//!    mode) and, for small queries, the fractional hypertree width as
-//!    metadata.
+//!    the execution config (preload, descent mode, observability) and,
+//!    for small queries, the fractional hypertree width as metadata.
 //! 2. **Prepare** ([`QueryPlan::prepare`] → [`PreparedQuery`]): build the
 //!    physical artifacts — one trie index per atom in SAO-consistent
 //!    column order (σ-consistent gap boxes, Definition 3.11), plus any
 //!    [`ExtraIndex`]es requested.
 //! 3. **Execute** ([`PreparedQuery::run`] / `for_each_output` /
-//!    `check_cover`): construct the [`relation::JoinOracle`] and hand it
-//!    to `tetris_core`'s single type-erased dispatcher
-//!    ([`tetris_core::prepare_with_config`]); or derive a
+//!    `check_cover`): construct the [`relation::JoinOracle`] and run
+//!    [`tetris_core::Tetris`] over it; or derive a
 //!    [`baseline::JoinSpec`] over the same SAO and bindings and run
 //!    [`baseline::leapfrog::leapfrog_join`] from the **same plan**.
 //!
 //! Because the SAO and the atom bindings are fixed at plan time, every
-//! execution path (any backend, shard count, or thread count) sees the
-//! same geometric problem and produces bit-identical witnesses — plan
+//! execution path (any descent mode or thread count) sees the same
+//! geometric problem and produces bit-identical witnesses — plan
 //! choice cannot change the witness order for a fixed SAO (see
 //! DESIGN.md §10).
 //!

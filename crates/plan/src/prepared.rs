@@ -3,9 +3,7 @@
 //! A [`PreparedQuery`] owns one trie index per atom (relations are
 //! copied in at prepare time), so it can outlive the relations it was
 //! planned against — the shape a resident join server needs. Execution
-//! goes through `tetris_core`'s single type-erased dispatcher
-//! ([`tetris_core::prepare_with_config`]), which is the only place the
-//! backend × sharding product is expanded.
+//! builds a [`Tetris`] engine over the query's gap oracle.
 
 use std::time::Instant;
 
@@ -14,7 +12,7 @@ use baseline::JoinSpec;
 use obs::ObsSink;
 use query::Hypergraph;
 use relation::{IndexedRelation, JoinOracle, Relation};
-use tetris_core::{prepare_with_config, TetrisConfig, TetrisOutput, TetrisStats, MAX_DIMS};
+use tetris_core::{Tetris, TetrisConfig, TetrisOutput, TetrisStats, MAX_DIMS};
 
 use crate::ir::{QueryPlan, QueryPlanBuilder, SaoSource};
 
@@ -81,10 +79,8 @@ impl PlanRun {
             ("sao", query.sao().join(",")),
             ("width", query.width.to_string()),
             ("input_tuples", query.input_size().to_string()),
-            ("backend", c.backend.to_string()),
             ("descent", descent_name(c.descent).to_string()),
             ("threads", threads.to_string()),
-            ("shards", c.shards.to_string()),
             ("preload", c.preload.to_string()),
             ("cache_resolvents", c.cache_resolvents.to_string()),
             ("insert_ring", c.insert_ring.to_string()),
@@ -291,7 +287,7 @@ impl PreparedQuery {
     pub fn execute(&self, config: TetrisConfig) -> PlanRun {
         let oracle = self.oracle();
         let t0 = Instant::now();
-        let engine = prepare_with_config(&oracle, config);
+        let engine = Tetris::with_config(&oracle, config);
         let preload_s = t0.elapsed().as_secs_f64();
         // The memory ledger is read between the phases: post-preload, so
         // a preloaded store is fully built, pre-solve, so the walk is
@@ -302,7 +298,7 @@ impl PreparedQuery {
         let solve_s = t1.elapsed().as_secs_f64();
         // The ledger's Preload/Solve spans are these same two timers —
         // the engine cannot record them itself (construction and the
-        // terminal call are separate dispatches by design).
+        // terminal call are separate calls by design).
         if let Some(l) = &mut output.obs {
             l.record_span(obs::Phase::Preload, preload_s);
             l.record_span(obs::Phase::Solve, solve_s);
@@ -320,17 +316,14 @@ impl PreparedQuery {
     /// them; returns the engine stats.
     pub fn for_each_output(&self, f: impl FnMut(&[u64])) -> TetrisStats {
         let oracle = self.oracle();
-        let engine = prepare_with_config(&oracle, self.config);
-        let mut f = f;
-        engine.for_each_output(&mut f)
+        Tetris::with_config(&oracle, self.config).for_each_output(f)
     }
 
     /// Decide the Box Cover Problem under the carried config: `true`
     /// when the gap boxes cover the whole space (empty join).
     pub fn check_cover(&self) -> (bool, TetrisStats) {
         let oracle = self.oracle();
-        let engine = prepare_with_config(&oracle, self.config);
-        engine.check_cover()
+        Tetris::with_config(&oracle, self.config).check_cover()
     }
 
     /// Derive the baseline [`JoinSpec`] over the same SAO and bindings,
@@ -427,7 +420,6 @@ mod tests {
         };
         assert_eq!(get("query"), join.name());
         assert_eq!(get("sao"), join.sao().join(","));
-        assert_eq!(get("backend"), cfg.backend.to_string());
         assert_eq!(get("descent"), "incremental");
         assert_eq!(get("threads"), "1");
         assert_eq!(get("outputs"), run.output.stats.outputs.to_string());

@@ -7,27 +7,23 @@
 //! cargo run --release --example million_triangles            # 10⁶ edges
 //! cargo run --release --example million_triangles -- --edges 100000
 //! cargo run --release --example million_triangles -- --threads 4 --seed 7
-//! cargo run --release --example million_triangles -- --backend radix
 //! ```
 //!
 //! `--edges` sets the graph size (`TETRIS_EDGES` env still works as a
 //! fallback), `--threads N` runs the listing under
-//! `Descent::Parallel { threads: N }` (default 1 = sequential),
-//! `--backend binary|radix` selects the knowledge-base store, and
+//! `Descent::Parallel { threads: N }` (default 1 = sequential), and
 //! `--seed` overrides the generator seed.
 
 use std::time::Instant;
 use tetris_join::relation::io::read_tuples_streaming;
 use tetris_join::relation::{Relation, Schema};
-use tetris_join::tetris::{Backend, Descent, TetrisConfig};
+use tetris_join::tetris::{Descent, TetrisConfig};
 use tetris_join::triangles::prepared_triangle_join;
 use workload::graphs::{self, Graph};
 
 fn usage(msg: &str) -> ! {
     eprintln!("million_triangles: {msg}");
-    eprintln!(
-        "usage: million_triangles [--edges N] [--threads N] [--backend binary|radix] [--seed S]"
-    );
+    eprintln!("usage: million_triangles [--edges N] [--threads N] [--seed S]");
     std::process::exit(2);
 }
 
@@ -37,7 +33,6 @@ fn main() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(1_000_000);
     let mut threads: usize = 1;
-    let mut backend = Backend::Binary;
     let mut seed: u64 = 42;
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -57,11 +52,6 @@ fn main() {
                     .ok()
                     .filter(|&n| n >= 1)
                     .unwrap_or_else(|| usage("bad --threads value"))
-            }
-            "--backend" => {
-                backend = value("--backend")
-                    .parse()
-                    .unwrap_or_else(|e: String| usage(&e))
             }
             "--seed" => {
                 seed = value("--seed")
@@ -129,9 +119,8 @@ fn main() {
 
     // 4. Tetris: ordered triangle listing (u < v < w) via the self-join
     //    E(A,B) ⋈ E(B,C) ⋈ E(A,C) over geometric resolutions —
-    //    sequential, or spread over the work-stealing pool, on any
-    //    box-store backend. The whole execution goes through the plan
-    //    layer's generic pipeline (no per-backend dispatch here).
+    //    sequential, or spread over the work-stealing pool. The whole
+    //    execution goes through the plan layer's generic pipeline.
     let edges: Relation = graph.edge_relation();
     let start = Instant::now();
     let join = prepared_triangle_join(&edges);
@@ -143,16 +132,15 @@ fn main() {
         } else {
             Descent::Parallel { threads }
         },
-        backend,
         ..Default::default()
     };
     let run = join.execute(cfg);
     let out = &run.output;
     let mode = if threads == 1 {
-        format!("sequential, {backend}")
+        "sequential".to_string()
     } else {
         format!(
-            "{threads} workers, {backend}, {} tasks, {} donations",
+            "{threads} workers, {} tasks, {} donations",
             out.stats.par_tasks, out.stats.par_donations
         )
     };

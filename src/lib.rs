@@ -16,7 +16,6 @@ pub mod triangles;
 
 pub use baseline;
 pub use boxstore;
-pub use boxtrie;
 pub use dyadic;
 pub use obs;
 pub use plan;

@@ -1,6 +1,6 @@
 //! Differential test wall around the engine: every configuration of the
-//! [`Tetris`] solver — preloaded/reloaded × resolvent caching ×
-//! inline outputs × all three descent strategies — must produce the exact
+//! [`Tetris`] solver — preloaded/reloaded × resolvent caching × all
+//! three sequential descent strategies — must produce the exact
 //! brute-force BCP output on randomized instances over randomized spaces
 //! (dimension counts up to `MAX_DIMS`, mixed per-dimension widths), and
 //! the join pipeline must agree with `baseline::brute` on randomized
@@ -61,26 +61,20 @@ fn run_all_variants(oracle: &SetOracle) -> Vec<(String, Vec<Vec<u64>>, u64, u64)
     let mut out = Vec::new();
     for preload in [false, true] {
         for cache_resolvents in [true, false] {
-            for inline_outputs in [false, true] {
-                for descent in [Descent::Incremental, Descent::Restart, Descent::RestartMemo] {
-                    let cfg = TetrisConfig {
-                        preload,
-                        cache_resolvents,
-                        inline_outputs,
-                        descent,
-                        ..Default::default()
-                    };
-                    let r = Tetris::with_config(oracle, cfg).run();
-                    out.push((
-                        format!(
-                            "preload={preload} cache={cache_resolvents} \
-                             inline={inline_outputs} descent={descent:?}"
-                        ),
-                        r.tuples,
-                        r.stats.outputs,
-                        r.stats.restarts,
-                    ));
-                }
+            for descent in [Descent::Incremental, Descent::Restart, Descent::RestartMemo] {
+                let cfg = TetrisConfig {
+                    preload,
+                    cache_resolvents,
+                    descent,
+                    ..Default::default()
+                };
+                let r = Tetris::with_config(oracle, cfg).run();
+                out.push((
+                    format!("preload={preload} cache={cache_resolvents} descent={descent:?}"),
+                    r.tuples,
+                    r.stats.outputs,
+                    r.stats.restarts,
+                ));
             }
         }
     }
@@ -111,7 +105,7 @@ fn every_engine_variant_matches_brute_force_on_random_spaces() {
             );
             // The incremental driver never restarts; restart drivers
             // restart at most once per oracle event.
-            if label.contains("Incremental") || label.contains("inline=true") {
+            if label.contains("Incremental") {
                 assert_eq!(restarts, 1, "seed {seed}: variant [{label}]");
             }
         }
@@ -195,7 +189,6 @@ fn parallel_descent_matches_sequential_on_random_spaces() {
                     let cfg = TetrisConfig {
                         preload,
                         cache_resolvents,
-                        inline_outputs: false,
                         descent: Descent::Parallel { threads },
                         ..Default::default()
                     };
@@ -357,9 +350,8 @@ fn join_pipeline_matches_baseline_brute_on_random_queries() {
                 (
                     "uncached-inline",
                     Tetris::reloaded(&oracle)
-                        .descent(descent)
                         .cache_resolvents(false)
-                        .inline_outputs(true),
+                        .descent(Descent::Incremental),
                 ),
             ] {
                 let got = join.reorder_to(&["A", "B", "C"], &engine.run().tuples);
@@ -368,6 +360,36 @@ fn join_pipeline_matches_baseline_brute_on_random_queries() {
                     "seed {seed}: {label} × {descent:?} diverges from baseline::brute"
                 );
             }
+        }
+    }
+}
+
+/// The insert-ring tuning knob must affect performance only: shrinking
+/// the ring to the minimum (`REPAIR_CAP`) or quadrupling it leaves every
+/// output and every counter identical.
+#[test]
+fn custom_insert_ring_changes_nothing_observable() {
+    for seed in 400..415u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let space = random_space(&mut rng, 8);
+        let count = rng.gen_range(1..25);
+        let boxes: Vec<DyadicBox> = (0..count).map(|_| random_box(&mut rng, &space)).collect();
+        let oracle = SetOracle::new(space, boxes);
+        let reference = Tetris::reloaded(&oracle).run();
+        for insert_ring in [boxstore::REPAIR_CAP as usize, 1024] {
+            let cfg = TetrisConfig {
+                insert_ring,
+                ..Default::default()
+            };
+            let out = Tetris::with_config(&oracle, cfg).run();
+            assert_eq!(
+                out.tuples, reference.tuples,
+                "seed {seed} ring={insert_ring}: tuples moved"
+            );
+            assert_eq!(
+                out.stats, reference.stats,
+                "seed {seed} ring={insert_ring}: counters moved"
+            );
         }
     }
 }

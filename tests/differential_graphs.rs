@@ -160,42 +160,19 @@ fn parallel_speedup_on_skewed_1e5() {
 
 /// The million-edge differential wall: the BENCH big-tier skewed
 /// instance (seed 0xBEEF — the exact graph the `t2_graphs` snapshots
-/// pin), listed with the binary and arena backends, checked against
-/// Leapfrog Triejoin and the hardened ground truth, with resolution
-/// counts asserted bit-identical across backends.
+/// pin), listed by Tetris-Preloaded and checked against Leapfrog
+/// Triejoin and the hardened ground truth.
 #[test]
 #[ignore = "10⁶-edge tier: minutes without --release; run with cargo test --release -- --ignored"]
 fn million_edge_skewed_differential() {
-    use tetris_join::tetris::{run_with_config, Backend, TetrisConfig};
-
     let g = graphs::skewed_graph_with_edges(1_000_000, 2, 0xBEEF);
     let edges = g.edge_relation();
     let truth = g.count_triangles();
     let join = prepared_triangle_join(&edges);
     let oracle = join.oracle();
 
-    let run = |backend: Backend| {
-        run_with_config(
-            &oracle,
-            TetrisConfig {
-                preload: true,
-                backend,
-                ..Default::default()
-            },
-        )
-    };
-    let bin = run(Backend::Binary);
-    let arena = run(Backend::Arena);
-    assert_eq!(
-        bin.tuples, arena.tuples,
-        "1e6 skewed: arena listing diverges from binary"
-    );
-    assert_eq!(
-        bin.stats.resolutions, arena.stats.resolutions,
-        "1e6 skewed: resolution counts must be bit-identical across backends"
-    );
-
-    let tetris_tuples = join.reorder_to(&TRIANGLE_ATTRS, &bin.tuples);
+    let out = Tetris::preloaded(&oracle).run();
+    let tetris_tuples = join.reorder_to(&TRIANGLE_ATTRS, &out.tuples);
     let (lf, _) = leapfrog_join(&triangle_spec(&edges));
     assert_eq!(
         tetris_tuples, lf,

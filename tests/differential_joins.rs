@@ -12,7 +12,7 @@ use baseline::{
 use rand::{Rng, SeedableRng};
 use relation::{Relation, Schema};
 use tetris_join::prepared::{ExtraIndex, PreparedJoin};
-use tetris_join::tetris::{balance::TetrisLB, Tetris};
+use tetris_join::tetris::{balance::TetrisLB, Descent, Tetris};
 
 fn random_relation(rng: &mut rand::rngs::StdRng, width: u8, max_tuples: usize) -> Relation {
     let dom = 1u64 << width;
@@ -29,10 +29,12 @@ fn all_tetris_variants(join: &PreparedJoin, attrs: &[&str]) -> Vec<Vec<u64>> {
     let oracle = join.oracle();
     let reloaded = Tetris::reloaded(&oracle).run();
     let preloaded = Tetris::preloaded(&oracle).run();
-    let inline = Tetris::reloaded(&oracle).inline_outputs(true).run();
+    let inline = Tetris::reloaded(&oracle)
+        .descent(Descent::Incremental)
+        .run();
     let uncached = Tetris::preloaded(&oracle)
         .cache_resolvents(false)
-        .inline_outputs(true)
+        .descent(Descent::Incremental)
         .run();
     let lb = TetrisLB::reloaded(&oracle).run();
     assert_eq!(reloaded.tuples, preloaded.tuples, "reloaded vs preloaded");

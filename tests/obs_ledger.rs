@@ -11,9 +11,8 @@
 
 use obs::Phase;
 use tetris_join::prepared::PreparedJoin;
-use tetris_join::tetris::{Backend, Descent, Tetris, TetrisConfig, TetrisOutput};
-use tetris_join::triangles::prepared_triangle_join;
-use tetris_join::workload::{graphs, triangle};
+use tetris_join::tetris::{Descent, Tetris, TetrisConfig, TetrisOutput};
+use tetris_join::workload::triangle;
 
 fn skew_join() -> PreparedJoin {
     let inst = triangle::skew_triangle(8, 6);
@@ -109,13 +108,13 @@ fn sequential_ledger_balances_on_paper_instances() {
         let out = Tetris::with_config(&oracle, cfg).run();
         let label = format!("ex4.4 preload={preload}");
         assert_ledger_balances(&label, &out);
-        // Monolithic sequential store: the tracked-probe breakdown
-        // accounts for every query exactly.
+        // Sequentially, the tracked-probe breakdown accounts for every
+        // query exactly.
         let s = &out.stats;
         assert_eq!(
             s.probe_advances + s.probe_repairs + s.probe_full_walks,
             s.kb_queries,
-            "{label}: sequential monolithic probe sum"
+            "{label}: sequential probe sum"
         );
         assert_eq!(s.par_donations, 0, "{label}: no donations sequentially");
     }
@@ -137,33 +136,6 @@ fn sequential_ledger_balances_on_paper_instances() {
     let l = run.output.obs.as_ref().unwrap();
     let nonzero = l.depth.buckets().iter().filter(|&&c| c > 0).count();
     assert!(nonzero >= 2, "depth histogram collapsed: {:?}", l.depth);
-}
-
-#[test]
-fn sharded_sequential_walk_balances_while_probes_lag() {
-    // Through the sharded wrapper, boundary-spill hits are answered by
-    // an untracked inner lookup: the walk histogram (observed in the
-    // engine, per query) still balances exactly, while the tracked probe
-    // counters only bound the query count from above. This is the same
-    // scoped invariant `bench_compare --check-profile` enforces.
-    let g = graphs::skewed_graph_with_edges(2000, 2, 0xBEEF);
-    let join = prepared_triangle_join(&g.edge_relation());
-    let cfg = TetrisConfig {
-        preload: true,
-        shards: 4,
-        obs: true,
-        ..Default::default()
-    };
-    let run = join.execute(cfg);
-    assert_ledger_balances("skewed(2000) shards=4", &run.output);
-    let s = &run.output.stats;
-    let probes = s.probe_advances + s.probe_repairs + s.probe_full_walks;
-    assert!(
-        probes <= s.kb_queries,
-        "tracked probes are a subset of queries on sharded stores: \
-         {probes} vs {}",
-        s.kb_queries
-    );
 }
 
 #[test]
@@ -196,13 +168,13 @@ fn parallel_ledger_merges_and_balances() {
 }
 
 #[test]
-fn attribution_balances_across_backends_shards_and_threads() {
-    // The PR-10 wall: the SAO-prefix attribution ledger must balance in
-    // *every* execution mode — all three store backends, monolithic and
-    // sharded, sequential and work-stealing parallel — and turning the
-    // observer on must never change the answer (sequentially, not even
-    // a counter; in parallel, scheduling-dependent counters may move,
-    // the tuples may not). Width 10 > the 8-bit attribution prefix, so
+fn attribution_balances_across_threads() {
+    // The SAO-prefix attribution ledger must balance in *every*
+    // execution mode — sequential and work-stealing parallel — and
+    // turning the observer on must never change the answer
+    // (sequentially, not even a counter; in parallel,
+    // scheduling-dependent counters may move, the tuples may not).
+    // Width 10 > the 8-bit attribution prefix, so
     // deep resolution sites spread across real prefix rows instead of
     // all spilling into the short row (as the width-6 instances would).
     let inst = triangle::skew_triangle(8, 10);
@@ -211,39 +183,38 @@ fn attribution_balances_across_backends_shards_and_threads() {
         .atom("S", &inst.s, &["B", "C"])
         .atom("T", &inst.t, &["A", "C"])
         .build();
-    for backend in [Backend::Binary, Backend::Radix, Backend::Arena] {
-        for shards in [1usize, 4] {
-            for threads in [1usize, 2] {
-                let cfg = TetrisConfig {
-                    preload: true,
-                    backend,
-                    shards,
-                    descent: if threads == 1 {
-                        Descent::Incremental
-                    } else {
-                        Descent::Parallel { threads }
-                    },
-                    obs: true,
-                    ..Default::default()
-                };
-                let label = format!("skew(8) {backend} shards={shards} threads={threads}");
-                let run = join.execute(cfg);
-                let off = join.execute(TetrisConfig { obs: false, ..cfg });
-                assert_eq!(off.output.tuples, run.output.tuples, "{label}");
-                if threads == 1 {
-                    assert_eq!(off.output.stats, run.output.stats, "{label}");
-                }
-                assert_ledger_balances(&label, &run.output);
-                // The instance resolves under more than one dimension-0
-                // subtree, so the breakdown is a real distribution, not
-                // one catch-all row.
-                let attr = &run.output.obs.as_ref().unwrap().attr;
-                assert!(
-                    attr.top_k(2).len() >= 2,
-                    "{label}: attribution collapsed to one row"
-                );
-            }
+    for threads in [1usize, 2] {
+        let cfg = TetrisConfig {
+            preload: true,
+            descent: if threads == 1 {
+                Descent::Incremental
+            } else {
+                Descent::Parallel { threads }
+            },
+            obs: true,
+            ..Default::default()
+        };
+        let label = format!("skew(8) threads={threads}");
+        let run = join.execute(cfg);
+        let off = join.execute(TetrisConfig { obs: false, ..cfg });
+        assert_eq!(off.output.tuples, run.output.tuples, "{label}");
+        if threads == 1 {
+            assert_eq!(off.output.stats, run.output.stats, "{label}");
+            let s = &run.output.stats;
+            assert_eq!(
+                s.probe_advances + s.probe_repairs + s.probe_full_walks,
+                s.kb_queries,
+                "{label}: sequential probe sum"
+            );
         }
+        assert_ledger_balances(&label, &run.output);
+        // The instance resolves under more than one dimension-0 subtree,
+        // so the breakdown is a real distribution, not one catch-all row.
+        let attr = &run.output.obs.as_ref().unwrap().attr;
+        assert!(
+            attr.top_k(2).len() >= 2,
+            "{label}: attribution collapsed to one row"
+        );
     }
 }
 

@@ -5,7 +5,7 @@
 use boxstore::{coverage, SetOracle};
 use dyadic::{DyadicBox, DyadicInterval, Space};
 use proptest::prelude::*;
-use tetris_join::tetris::{balance::TetrisLB, Tetris};
+use tetris_join::tetris::{balance::TetrisLB, Descent, Tetris};
 
 /// Strategy: a dyadic interval in a `d`-bit domain.
 fn interval(d: u8) -> impl Strategy<Value = DyadicInterval> {
@@ -65,10 +65,13 @@ proptest! {
         let space = Space::uniform(2, 3);
         let oracle = SetOracle::new(space, boxes);
         let a = Tetris::reloaded(&oracle).run().tuples;
-        let b = Tetris::reloaded(&oracle).inline_outputs(true).run().tuples;
+        let b = Tetris::reloaded(&oracle)
+            .descent(Descent::Incremental)
+            .run()
+            .tuples;
         let c = Tetris::preloaded(&oracle)
             .cache_resolvents(false)
-            .inline_outputs(true)
+            .descent(Descent::Incremental)
             .run()
             .tuples;
         prop_assert_eq!(&a, &b);

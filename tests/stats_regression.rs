@@ -24,7 +24,7 @@
 use boxstore::SetOracle;
 use dyadic::{DyadicBox, Space};
 use tetris_join::prepared::PreparedJoin;
-use tetris_join::tetris::{Backend, Descent, Tetris, TetrisConfig, TetrisStats};
+use tetris_join::tetris::{Descent, Tetris, TetrisConfig, TetrisStats};
 use workload::triangle;
 
 /// The pinned counter subset: (restarts, oracle_probes, kb_inserts,
@@ -62,7 +62,6 @@ fn tuning_defaults_are_pinned() {
     assert_eq!(boxstore::REPAIR_CAP, 64);
     assert_eq!(tetris_core::DEFAULT_MERGE_CAP, 4096);
     let cfg = TetrisConfig::default();
-    assert_eq!(cfg.backend, Backend::Binary);
     assert_eq!(cfg.insert_ring, boxstore::DEFAULT_INSERT_RING);
     assert_eq!(cfg.merge_cap, tetris_core::DEFAULT_MERGE_CAP);
     assert_eq!(

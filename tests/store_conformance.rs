@@ -1,10 +1,10 @@
-//! Randomized store-conformance wall: every [`BoxStore`] backend ×
+//! Randomized store-conformance wall: the [`BoxTree`] knowledge base ×
 //! every insert-ring tuning, driven through random interleavings of
 //! inserts, untracked probes, engine-shaped tracked probe chains,
 //! clears, and shard extractions — each observable answer checked
 //! against a naive reference store.
 //!
-//! The reference pins the full trait contract, not just set membership:
+//! The reference pins the full store contract, not just set membership:
 //!
 //! * **DFS-first witnesses** — `find_containing` must return the
 //!   containing box that the multilevel DFS reaches first, i.e. the one
@@ -19,14 +19,10 @@
 //!   exactly the stored boxes intersecting the target.
 //! * **Monotone epochs** — content changes advance the epoch.
 //!
-//! Every assertion message carries the `(backend, seed, ring, step)`
-//! tuple, so a failure is reproducible with a one-line filter.
+//! Every assertion message carries the `(seed, ring, step)` tuple, so a
+//! failure is reproducible with a one-line filter.
 
-use boxstore::{
-    ArenaBoxTree, BoxStore, BoxTree, DescentProbe, FrontierStack, ShardedBoxStore, StoreTuning,
-    REPAIR_CAP,
-};
-use boxtrie::RadixBoxTrie;
+use boxstore::{BoxTree, DescentProbe, FrontierStack, StoreTuning, REPAIR_CAP};
 use dyadic::{DyadicBox, DyadicInterval, MAX_DIMS};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -106,28 +102,27 @@ fn random_box(rng: &mut StdRng, n: usize, width: u8) -> DyadicBox {
     bx
 }
 
-fn sorted_boxes<S: BoxStore>(s: &S) -> Vec<DyadicBox> {
+fn sorted_boxes(s: &BoxTree) -> Vec<DyadicBox> {
     let mut out = s.iter_boxes();
     out.sort();
     out
 }
 
-/// One random op sequence against one `(backend, tuning, seed)` config.
-fn conformance_run<S: BoxStore>(backend: &str, tuning: StoreTuning, seed: u64) {
+/// One random op sequence against one `(tuning, seed)` config.
+fn conformance_run(tuning: StoreTuning, seed: u64) {
     let ring = tuning.insert_ring;
     let mut rng = StdRng::seed_from_u64(seed);
     let n = rng.gen_range(1..=3);
     let width = rng.gen_range(2..=5) as u8;
-    let mut store = S::with_tuning(n, tuning);
+    let mut store = BoxTree::with_tuning(n, tuning);
     let mut naive = NaiveStore::default();
     // One long-lived probe state: clears and unrelated-target probes in
     // between must be survivable (the store detects staleness itself).
-    let mut probe: DescentProbe<S::Entry> = DescentProbe::new();
+    let mut probe = DescentProbe::new();
     let mut last_epoch = store.epoch();
 
     for step in 0..STEPS_PER_SEED {
-        let ctx =
-            || format!("backend={backend} seed={seed} ring={ring} step={step} n={n} width={width}");
+        let ctx = || format!("seed={seed} ring={ring} step={step} n={n} width={width}");
         match rng.gen_range(0..20) {
             // Inserts dominate so repair windows stay busy.
             0..=8 => {
@@ -177,7 +172,7 @@ fn conformance_run<S: BoxStore>(backend: &str, tuning: StoreTuning, seed: u64) {
             }
             17 => {
                 let target = random_box(&mut rng, n, width);
-                let mut shard = S::with_tuning(n, tuning);
+                let mut shard = BoxTree::with_tuning(n, tuning);
                 store.extract_intersecting_into(&target, &mut shard);
                 assert_eq!(
                     sorted_boxes(&shard),
@@ -208,47 +203,14 @@ fn conformance_run<S: BoxStore>(backend: &str, tuning: StoreTuning, seed: u64) {
     assert_eq!(
         sorted_boxes(&store),
         naive.sorted(),
-        "backend={backend} seed={seed} ring={ring}: final stored set"
+        "seed={seed} ring={ring}: final stored set"
     );
     // The chains above must actually exercise the incremental paths,
     // otherwise this wall silently stops guarding them.
     assert!(
         probe.advances + probe.repairs + probe.full_walks > 0,
-        "backend={backend} seed={seed} ring={ring}: no tracked probes fired"
+        "seed={seed} ring={ring}: no tracked probes fired"
     );
-}
-
-fn conformance_grid<S: BoxStore>(backend: &str) {
-    for &ring in &RINGS {
-        for seed in 0..SEEDS_PER_CONFIG {
-            let tuning = StoreTuning {
-                insert_ring: ring,
-                ..StoreTuning::default()
-            };
-            conformance_run::<S>(backend, tuning, seed);
-        }
-    }
-}
-
-/// The sharded column: the full ring grid × shard counts, one run per
-/// seed. `shards == 1` pins the degenerate single-shard router to the
-/// same contract as the monolithic stores.
-fn sharded_conformance_grid<S: BoxStore>(backend: &str) {
-    for &shards in &[1usize, 4, 16] {
-        for &ring in &RINGS {
-            for seed in 0..SEEDS_PER_CONFIG {
-                let tuning = StoreTuning {
-                    insert_ring: ring,
-                    shards,
-                };
-                conformance_run::<ShardedBoxStore<S>>(
-                    &format!("sharded({shards})-{backend}"),
-                    tuning,
-                    seed,
-                );
-            }
-        }
-    }
 }
 
 /// Directed clear-at-wrap scenario (PR 7 audit): drive the insert log
@@ -256,12 +218,12 @@ fn sharded_conformance_grid<S: BoxStore>(backend: &str) {
 /// mid-block with a live tracked frontier, then keep probing — the
 /// stale frontier must be detected via the clear stamp and every answer
 /// must still match the reference.
-fn clear_at_wrap_run<S: BoxStore>(backend: &str, tuning: StoreTuning) {
+fn clear_at_wrap_run(tuning: StoreTuning) {
     let n = 2;
     let ring = tuning.insert_ring;
-    let mut store = S::with_tuning(n, tuning);
+    let mut store = BoxTree::with_tuning(n, tuning);
     let mut naive = NaiveStore::default();
-    let mut probe: DescentProbe<S::Entry> = DescentProbe::new();
+    let mut probe = DescentProbe::new();
 
     // Enumerate distinct 2-d boxes deterministically (width ≤ 4 gives
     // 31² = 961, plenty past one 64-entry wrap).
@@ -283,16 +245,16 @@ fn clear_at_wrap_run<S: BoxStore>(backend: &str, tuning: StoreTuning) {
         })
         .collect();
 
-    let check = |store: &S,
+    let check = |store: &BoxTree,
                  naive: &NaiveStore,
-                 probe: &mut DescentProbe<S::Entry>,
+                 probe: &mut DescentProbe,
                  probes: &[DyadicBox],
                  when: &str| {
         for q in probes {
             assert_eq!(
                 store.find_containing_tracked(q, n - 1, probe),
                 naive.find_containing(q),
-                "backend={backend} ring={ring} {when}: tracked witness for {q:?}"
+                "ring={ring} {when}: tracked witness for {q:?}"
             );
         }
     };
@@ -322,25 +284,8 @@ fn clear_at_wrap_run<S: BoxStore>(backend: &str, tuning: StoreTuning) {
     check(&store, &naive, &mut probe, &boxes[290..330], "post-rebuild");
     assert!(
         probe.advances + probe.repairs + probe.full_walks > 0,
-        "backend={backend}: no tracked probes fired"
+        "ring={ring}: no tracked probes fired"
     );
-}
-
-fn clear_at_wrap_grid<S: BoxStore>(backend: &str) {
-    // The minimum legal ring forces the tightest wrap; the default ring
-    // exercises a mid-ring clear.
-    for &ring in &[REPAIR_CAP as usize, 256] {
-        let tuning = StoreTuning {
-            insert_ring: ring,
-            ..StoreTuning::default()
-        };
-        clear_at_wrap_run::<S>(backend, tuning);
-    }
-    let sharded = StoreTuning {
-        insert_ring: REPAIR_CAP as usize,
-        shards: 4,
-    };
-    clear_at_wrap_run::<ShardedBoxStore<S>>(&format!("sharded(4)-{backend}"), sharded);
 }
 
 /// Directed implicit-leaf scenario: a scripted insert sequence that
@@ -351,12 +296,12 @@ fn clear_at_wrap_grid<S: BoxStore>(backend: &str) {
 /// through the chain's frontier; the racer's sibling is probed through
 /// a saved-and-restored frontier. Every answer is checked against the
 /// reference.
-fn implicit_leaves_run<S: BoxStore>(backend: &str, tuning: StoreTuning) {
+fn implicit_leaves_run(tuning: StoreTuning) {
     let ring = tuning.insert_ring;
     let parse = |s: &str| DyadicBox::parse(s).unwrap();
-    let mut store = S::with_tuning(3, tuning);
+    let mut store = BoxTree::with_tuning(3, tuning);
     let mut naive = NaiveStore::default();
-    let mut probe: DescentProbe<S::Entry> = DescentProbe::new();
+    let mut probe = DescentProbe::new();
     let mut frontiers = FrontierStack::new();
     // (inserted box, then a tracked chain's probed dimension and target)
     let script: [(&str, usize, &str); 12] = [
@@ -377,8 +322,7 @@ fn implicit_leaves_run<S: BoxStore>(backend: &str, tuning: StoreTuning) {
         "λ,λ,λ", "0,λ,λ", "011,0,1", "1,0,11", "0,1,101", "11,1,0", "λ,1,01", "00,01,1",
     ];
     for (step, &(insert, dim, target)) in script.iter().enumerate() {
-        let ctx =
-            |what: &str| format!("backend={backend} ring={ring} step={step} ({insert}): {what}");
+        let ctx = |what: &str| format!("ring={ring} step={step} ({insert}): {what}");
         let bx = parse(insert);
         assert_eq!(
             store.insert(&bx),
@@ -428,7 +372,7 @@ fn implicit_leaves_run<S: BoxStore>(backend: &str, tuning: StoreTuning) {
                 "{}",
                 ctx("racer")
             );
-            let mut restored: DescentProbe<S::Entry> = DescentProbe::new();
+            let mut restored = DescentProbe::new();
             assert!(frontiers.restore_top(&q, &mut restored));
             assert_eq!(
                 store.find_containing_tracked(&sib, dim, &mut restored),
@@ -441,118 +385,31 @@ fn implicit_leaves_run<S: BoxStore>(backend: &str, tuning: StoreTuning) {
     assert_eq!(
         sorted_boxes(&store),
         naive.sorted(),
-        "backend={backend} ring={ring}: final stored set"
+        "ring={ring}: final stored set"
     );
 }
 
 #[test]
 fn implicit_leaves_box_tree() {
     for ring in [REPAIR_CAP as usize, 256] {
-        let tuning = StoreTuning {
-            insert_ring: ring,
-            ..StoreTuning::default()
-        };
-        implicit_leaves_run::<BoxTree>("binary", tuning);
+        implicit_leaves_run(StoreTuning { insert_ring: ring });
     }
-    let sharded = StoreTuning {
-        insert_ring: 256,
-        shards: 4,
-    };
-    implicit_leaves_run::<ShardedBoxStore<BoxTree>>("sharded(4)-binary", sharded);
 }
 
 #[test]
 fn box_tree_conforms() {
-    conformance_grid::<BoxTree>("binary");
-}
-
-#[test]
-fn arena_box_tree_conforms() {
-    conformance_grid::<ArenaBoxTree>("arena");
-}
-
-#[test]
-fn radix_box_trie_conforms() {
-    conformance_grid::<RadixBoxTrie>("radix");
-}
-
-#[test]
-fn sharded_box_tree_conforms() {
-    sharded_conformance_grid::<BoxTree>("binary");
-}
-
-#[test]
-fn sharded_arena_box_tree_conforms() {
-    sharded_conformance_grid::<ArenaBoxTree>("arena");
-}
-
-#[test]
-fn sharded_radix_box_trie_conforms() {
-    sharded_conformance_grid::<RadixBoxTrie>("radix");
+    for &ring in &RINGS {
+        for seed in 0..SEEDS_PER_CONFIG {
+            conformance_run(StoreTuning { insert_ring: ring }, seed);
+        }
+    }
 }
 
 #[test]
 fn clear_at_wrap_box_tree() {
-    clear_at_wrap_grid::<BoxTree>("binary");
-}
-
-#[test]
-fn clear_at_wrap_arena_box_tree() {
-    clear_at_wrap_grid::<ArenaBoxTree>("arena");
-}
-
-#[test]
-fn clear_at_wrap_radix_box_trie() {
-    clear_at_wrap_grid::<RadixBoxTrie>("radix");
-}
-
-#[test]
-fn sharded_boundary_boxes_win_the_merge() {
-    // Regression for the spill path: boxes too short to route (short
-    // dimension-0 prefixes, λ included) must be found by arbitrarily
-    // deep probes in any shard, and must win the DFS merge against
-    // routed hits — their dimension-0 prefix is strictly shorter.
-    let tuning = StoreTuning {
-        insert_ring: 256,
-        shards: 16, // route_bits = 4: lengths 0..=3 all spill
-    };
-    let mut store: ShardedBoxStore<BoxTree> = ShardedBoxStore::with_tuning(2, tuning);
-    let mut naive = NaiveStore::default();
-    let parse = |s: &str| DyadicBox::parse(s).unwrap();
-    for s in [
-        "λ,λ", "0,1", "11,λ", "101,01", // all spill (|c₀| < 4)
-        "1010,λ", "01100,11", "111111,0", // routed
-    ] {
-        let bx = parse(s);
-        assert_eq!(store.insert(&bx), naive.insert(&bx));
+    // The minimum legal ring forces the tightest wrap; the default ring
+    // exercises a mid-ring clear.
+    for ring in [REPAIR_CAP as usize, 256] {
+        clear_at_wrap_run(StoreTuning { insert_ring: ring });
     }
-    let mut probe: DescentProbe<<ShardedBoxStore<BoxTree> as BoxStore>::Entry> =
-        DescentProbe::new();
-    for s in [
-        "101011,00",
-        "0,λ",
-        "λ,111",
-        "111111,01",
-        "01100,110",
-        "1010,0",
-        "110000,1",
-        "101,010",
-    ] {
-        let q = parse(s);
-        assert_eq!(
-            store.find_containing(&q),
-            naive.find_containing(&q),
-            "untracked {s}"
-        );
-        assert_eq!(
-            store.find_containing_tracked(&q, 1, &mut probe),
-            naive.find_containing(&q),
-            "tracked {s}"
-        );
-    }
-    // The deep probe's witness is the spill's ⟨λ,λ⟩ — spill beats shard.
-    assert_eq!(
-        store.find_containing(&parse("111111,01")),
-        Some(parse("λ,λ"))
-    );
 }
