@@ -15,7 +15,7 @@
 //! ([`plan::PreparedQuery::execute`]).
 
 use obs::{Phase, Pow2Histogram};
-use tetris_join::tetris::{Descent, TetrisConfig};
+use tetris_join::tetris::{Descent, TetrisConfig, TraceConfig};
 use tetris_join::triangles::prepared_triangle_join;
 use workload::graphs;
 
@@ -56,7 +56,7 @@ fn main() {
         // Trace sequential runs so the flight-recorder accounting has
         // something to report; the default bounded ring makes this safe
         // at any edge count.
-        trace: threads == 1,
+        trace: (threads == 1).then(TraceConfig::default),
         ..Default::default()
     };
     let run = join.execute(cfg);
@@ -76,8 +76,8 @@ fn main() {
         s.outputs, s.resolutions, s.splits, s.skeleton_calls, s.kb_queries
     );
     println!(
-        "advances={} repairs={} repair_fasts={} full_walks={}",
-        s.probe_advances, s.probe_repairs, s.probe_repair_fasts, s.probe_full_walks
+        "advances={} repairs={} full_walks={}",
+        s.probe_advances, s.probe_repairs, s.probe_full_walks
     );
     println!(
         "kb_inserts={} kb_insert_skips={} loaded={} oracle_probes={} donations={}",

@@ -42,7 +42,7 @@ mod tree;
 
 pub use epochs::{CoverProbe, CoverageMarks};
 pub use oracle::{BoxOracle, SetOracle};
-pub use store::{DescentProbe, FrontierStack, StoreTuning, DEFAULT_INSERT_RING, REPAIR_CAP};
+pub use store::{DescentProbe, FrontierStack, REPAIR_CAP};
 pub use tree::BoxTree;
 
 /// The store contract the engines rely on, driven through the public API

@@ -14,31 +14,12 @@
 use crate::tree::BinaryEntry;
 use dyadic::{DyadicBox, DyadicInterval, MAX_DIMS};
 
-/// Default length of the store's rolling insert ring (the window of
-/// recent inserts a saved probe frontier can be repaired against).
-/// Surfaced through `TetrisConfig::insert_ring`.
-pub const DEFAULT_INSERT_RING: usize = 256;
-
 /// Maximum number of logged inserts a saved frontier may lag behind the
 /// store and still be repaired in place; older frontiers fall back to a
-/// full walk.
+/// full walk. It is also the insert ring's length, indexed by mask.
 pub const REPAIR_CAP: u64 = 64;
 
-/// Construction-time tuning of a [`crate::BoxTree`].
-#[derive(Clone, Copy, Debug)]
-pub struct StoreTuning {
-    /// Length of the rolling insert ring (must be ≥ [`REPAIR_CAP`]; the
-    /// repair window must never be overwritten before it can be read).
-    pub insert_ring: usize,
-}
-
-impl Default for StoreTuning {
-    fn default() -> Self {
-        StoreTuning {
-            insert_ring: DEFAULT_INSERT_RING,
-        }
-    }
-}
+const _: () = assert!(REPAIR_CAP.is_power_of_two());
 
 /// Reusable state for [`crate::BoxTree::find_containing_tracked`]: the
 /// frontier of the last failed probe, valid for the immediate child of
@@ -67,10 +48,6 @@ pub struct DescentProbe {
     pub advances: u64,
     /// Probes answered by advance + insert-log repair (diagnostic).
     pub repairs: u64,
-    /// Repairs where the log's fingerprint summary proved no lagging
-    /// insert could contain the probe, so the window scan was skipped
-    /// entirely (subset of `repairs`; diagnostic).
-    pub repair_fasts: u64,
     /// Probes that fell back to a full walk (diagnostic).
     pub full_walks: u64,
     /// Insert-log lag of the most recent repair — the repair-window
@@ -205,113 +182,38 @@ impl FrontierStack {
 /// frontier is repaired against, plus the monotone insert and clear
 /// counters probe state is keyed on.
 ///
-/// # The fingerprint summary
-///
-/// Alongside the ring, the log maintains a 64-bit Bloom-style summary of
-/// the recent inserts so the common *no-conflict* repair (no lagging
-/// insert can possibly contain the probe) is answered by one AND and one
-/// compare instead of a `contains` scan over up to [`REPAIR_CAP`] boxes.
-///
-/// Each dimension `i < n` owns a `⌊64/n⌋`-bit group (21 bits for the
-/// triangle join's three dimensions, degrading to 4 at `MAX_DIMS`). An
-/// inserted box `c` sets exactly one bit per dimension, coding its
-/// component as λ (bit 0) or the pair *(capped length bucket, first
-/// bit)* — code `1 + 2·min(|c_i|−1, LB−1) + firstbit(c_i)` with `LB`
-/// length buckets per first bit. A probe for `b` asks, per dimension,
-/// for the *compatible* codes: λ always (a prefix may be empty), plus
-/// every (bucket, firstbit) pair a nonempty prefix of `b_i` can code to
-/// — prefixes share `b_i`'s first bit and have lengths `1..=|b_i|`, so
-/// the mask is one alternating-bit pattern. If any dimension group has
-/// no compatible bit set, **no summarized insert contains `b`** and the
-/// scan is skipped (counted in `DescentProbe::repair_fasts`).
-///
-/// Honest measurement note: on the 10⁶-edge skewed graph tier the fast
-/// path fires *zero* times — witness streaming drops exactly the deep
-/// subsumed resolvents the length buckets were designed to prune, and
-/// the boxes that still reach the log share shallow prefixes with the
-/// next probes, so every window stays fingerprint-compatible. What cut
-/// the repair-scan traffic there (590 M → 68 M ring entries touched)
-/// is the streaming itself: ~11 M skipped inserts shrink every
-/// frontier's lag. The summary pays its one AND per repair and earns
-/// its keep on shallow mixed workloads (see the `stats_regression`
-/// pins), staying strictly sound everywhere.
-///
-/// Bits are accumulated into two blocks of [`REPAIR_CAP`] inserts each
-/// and the pair is rotated when a block fills, so the live summary
-/// always covers (a superset of) the last `REPAIR_CAP` inserts — i.e.
-/// every window `[mark, insert_count)` a repair may ask about. Extra
-/// coverage only adds false positives, never false negatives.
-#[derive(Clone, Debug)]
+/// A repair only runs when the frontier lags by at most [`REPAIR_CAP`]
+/// inserts, so no entry older than the last `REPAIR_CAP` is ever read:
+/// the ring holds exactly that many, and insert `i` lives at
+/// `i & (REPAIR_CAP − 1)`.
+#[derive(Clone, Debug, Default)]
 pub(crate) struct InsertLog {
-    /// Insert `i` lives at `i % ring.len()`; allocated on first insert.
+    /// The last [`REPAIR_CAP`] inserts; allocated on first insert.
     ring: Vec<DyadicBox>,
-    ring_len: usize,
     /// Novel inserts ever performed (monotone; not reset by clears).
     insert_count: u64,
     /// Times the store was cleared (invalidates node ids and the log).
     clears: u32,
-    /// Fingerprints of inserts in the current [`REPAIR_CAP`]-sized block.
-    block_cur: u64,
-    /// Fingerprints of the previous (full) block.
-    block_prev: u64,
 }
 
-/// Fingerprint of one inserted box: one bit per dimension group, coding
-/// (capped length bucket, first bit) — see the [`InsertLog`] docs.
-fn fingerprint(b: &DyadicBox) -> u64 {
-    let n = b.n() as u64;
-    let bpd = 64 / n;
-    let lb = (bpd - 1) / 2; // length buckets per first bit (≥ 1 for n ≤ 21)
-    let mut f = 0u64;
-    for i in 0..b.n() {
-        let iv = b.get(i);
-        let code = if iv.is_lambda() {
-            0
-        } else {
-            let fb = (iv.bits() >> (iv.len() - 1)) & 1;
-            let bucket = (iv.len() as u64 - 1).min(lb - 1);
-            1 + 2 * bucket + fb
-        };
-        f |= 1u64 << (i as u64 * bpd + code);
-    }
-    f
+/// The ring slot of insert `i`.
+#[inline]
+fn slot(i: u64) -> usize {
+    (i & (REPAIR_CAP - 1)) as usize
 }
 
 impl InsertLog {
-    /// An empty log with the given ring length.
-    ///
-    /// # Panics
-    /// If `ring_len < REPAIR_CAP` — the repairable window must fit.
-    pub(crate) fn new(ring_len: usize) -> Self {
-        assert!(
-            ring_len as u64 >= REPAIR_CAP,
-            "insert ring ({ring_len}) must hold at least REPAIR_CAP ({REPAIR_CAP}) entries"
-        );
-        InsertLog {
-            ring: Vec::new(),
-            ring_len,
-            insert_count: 0,
-            clears: 0,
-            block_cur: 0,
-            block_prev: 0,
-        }
-    }
-
     /// Record a novel insert of an `n`-dimensional box.
     pub(crate) fn record(&mut self, n: usize, b: &DyadicBox) {
         if self.ring.is_empty() {
-            self.ring.resize(self.ring_len, DyadicBox::universe(n));
+            self.ring
+                .resize(REPAIR_CAP as usize, DyadicBox::universe(n));
         }
-        if self.insert_count.is_multiple_of(REPAIR_CAP) {
-            self.block_prev = self.block_cur;
-            self.block_cur = 0;
-        }
-        self.block_cur |= fingerprint(b);
-        let slot = (self.insert_count % self.ring_len as u64) as usize;
         // Refresh only the live components: every ring box already has
         // the right dimensionality, and nothing reads past dimension `n`.
+        let c = &mut self.ring[slot(self.insert_count)];
         for i in 0..n {
-            self.ring[slot].set(i, b.get(i));
+            c.set(i, b.get(i));
         }
         self.insert_count += 1;
     }
@@ -319,8 +221,6 @@ impl InsertLog {
     /// Stamp a store clear (keeps the monotone insert count).
     pub(crate) fn note_clear(&mut self) {
         self.clears += 1;
-        self.block_cur = 0;
-        self.block_prev = 0;
     }
 
     /// Novel inserts ever performed.
@@ -336,42 +236,6 @@ impl InsertLog {
     /// How many inserts a frontier recorded at `mark` is missing.
     pub(crate) fn lag(&self, mark: u64) -> u64 {
         self.insert_count - mark
-    }
-
-    /// Whether the fingerprint summary admits *any* recent insert
-    /// containing `b`. `false` is definitive (no insert in the last
-    /// [`REPAIR_CAP`] can contain `b`, so a scan of any repairable window
-    /// would find no candidate); `true` means the
-    /// scan must run. See the type-level docs for the encoding.
-    #[inline]
-    pub(crate) fn summary_may_contain(&self, b: &DyadicBox) -> bool {
-        let blocks = self.block_cur | self.block_prev;
-        let n = b.n() as u64;
-        let bpd = 64 / n;
-        let lb = (bpd - 1) / 2;
-        let gmask = if bpd == 64 {
-            u64::MAX
-        } else {
-            (1u64 << bpd) - 1
-        };
-        for i in 0..b.n() {
-            let group = (blocks >> (i as u64 * bpd)) & gmask;
-            let iv = b.get(i);
-            // Compatible codes: λ, plus (bucket, firstbit(b_i)) for every
-            // prefix length 1..=|b_i| — an alternating-bit run starting
-            // at 1 + firstbit, `min(|b_i|, lb)` bits long.
-            let mut q = 1u64;
-            if !iv.is_lambda() {
-                let fb = (iv.bits() >> (iv.len() - 1)) & 1;
-                let buckets = (iv.len() as u64).min(lb);
-                let ones = (1u64 << (2 * buckets)) - 1; // 2·buckets ≤ 62
-                q |= (0x5555_5555_5555_5555u64 & ones) << (1 + fb);
-            }
-            if group & q == 0 {
-                return false;
-            }
-        }
-        true
     }
 
     /// One pass over the window `[mark, insert_count)` serving a frontier
@@ -398,7 +262,7 @@ impl InsertLog {
         let iv = b.get(dim);
         let mut best: Option<([u8; MAX_DIMS], DyadicBox)> = None;
         'window: for i in mark..self.insert_count {
-            let c = &self.ring[(i % self.ring_len as u64) as usize];
+            let c = &self.ring[slot(i)];
             for j in 0..dim {
                 let (cj, bj) = (c.get(j), b.get(j));
                 if cj.len() > bj.len() || bj.truncate(cj.len()) != cj {
@@ -438,7 +302,7 @@ impl InsertLog {
         debug_assert!(self.lag(mark) <= REPAIR_CAP);
         let mut best: Option<([u8; MAX_DIMS], DyadicBox)> = None;
         for i in mark..self.insert_count {
-            let c = &self.ring[(i % self.ring_len as u64) as usize];
+            let c = &self.ring[slot(i)];
             if c.contains(b) {
                 let key = lens_key_of_box(c, dim);
                 if best.as_ref().is_none_or(|(k, _)| key < *k) {
@@ -599,7 +463,7 @@ mod tests {
 
     #[test]
     fn insert_log_rolls_and_ranks() {
-        let mut log = InsertLog::new(64);
+        let mut log = InsertLog::default();
         assert_eq!(log.insert_count(), 0);
         log.record(2, &b("0,λ"));
         log.record(2, &b("λ,λ"));
@@ -615,136 +479,31 @@ mod tests {
         let (_, best) = log.best_candidate(&b("00,1"), 0, 2).unwrap();
         assert_eq!(best, b("00,λ"));
         // A probe outside every lagging insert has no candidate.
-        let mut disjoint = InsertLog::new(64);
+        let mut disjoint = InsertLog::default();
         disjoint.record(2, &b("0,λ"));
         assert!(disjoint.best_candidate(&b("11,1"), 0, 0).is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "REPAIR_CAP")]
-    fn undersized_ring_is_rejected() {
-        let _ = InsertLog::new(8);
-    }
-
-    #[test]
-    fn summary_is_sound_never_hides_a_candidate() {
-        // Exhaustive over 2-d boxes with components of length ≤ 2: for
-        // every (logged set, probe) pair, a present best_candidate must
-        // imply summary_may_contain — the fast path may only skip scans
-        // that would come back empty.
-        use dyadic::DyadicInterval;
-        let mut ivs = vec![DyadicInterval::from_bits(0, 0)];
-        for len in 1..=2u8 {
-            for bits in 0..(1u64 << len) {
-                ivs.push(DyadicInterval::from_bits(bits, len));
-            }
-        }
-        let mut boxes = Vec::new();
-        for a in &ivs {
-            for b2 in &ivs {
-                let mut bx = DyadicBox::universe(2);
-                bx.set(0, *a);
-                bx.set(1, *b2);
-                boxes.push(bx);
-            }
-        }
-        for probe in &boxes {
-            for window in boxes.chunks(5) {
-                let mut log = InsertLog::new(64);
-                for c in window {
-                    log.record(2, c);
-                }
-                if let Some((_, candidate)) = log.best_candidate(probe, 1, 0) {
-                    assert!(
-                        log.summary_may_contain(probe),
-                        "summary hid candidate {candidate:?} for probe {probe:?}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn summary_prunes_disjoint_windows() {
-        // Not a soundness requirement, but the point of the summary: a
-        // window of inserts that all start with a 0-bit at dim 0 must be
-        // pruned for a probe starting with a 1-bit.
-        let mut log = InsertLog::new(64);
-        log.record(2, &b("00,λ"));
-        log.record(2, &b("01,1"));
-        assert!(!log.summary_may_contain(&b("11,1")));
-        assert!(log.summary_may_contain(&b("00,1")));
-        // λ inserts are compatible with every probe.
-        log.record(2, &b("λ,0"));
-        assert!(log.summary_may_contain(&b("11,1")));
-    }
-
-    #[test]
-    fn summary_prunes_deeper_windows() {
-        // The graph-workload pattern: an unwind streams *deep* resolvents
-        // and the next skeleton probe asks about a shallow box. No deeper
-        // box can contain a shallower one, and the length buckets prove
-        // it without touching the ring.
-        let mut log = InsertLog::new(64);
-        log.record(2, &b("0010,11"));
-        log.record(2, &b("0111,00"));
-        assert!(
-            !log.summary_may_contain(&b("01,0")),
-            "a window of strictly deeper inserts must be pruned"
-        );
-        assert!(log.summary_may_contain(&b("0111,001")));
-    }
-
-    #[test]
-    fn summary_survives_block_rotation() {
-        // An insert stays visible to the summary for at least REPAIR_CAP
-        // subsequent inserts (the full repairable lag), across the
-        // two-block rotation.
-        let mut log = InsertLog::new(256);
-        // Fill most of the first block, land the candidate at index 63
-        // (the last slot of block 0), then push 63 more inserts so the
-        // blocks rotate once underneath it.
-        for _ in 0..REPAIR_CAP - 1 {
-            log.record(2, &b("00,0"));
-        }
-        log.record(2, &b("1,λ"));
-        let mark = log.insert_count() - 1;
-        for _ in 0..REPAIR_CAP - 1 {
-            log.record(2, &b("00,0"));
-        }
-        assert_eq!(log.lag(mark), REPAIR_CAP);
-        assert!(
-            log.summary_may_contain(&b("11,1")),
-            "the ⟨1,λ⟩ insert is still inside the repairable window"
-        );
-    }
-
-    #[test]
-    fn clear_mid_block_empties_both_summaries() {
-        // PR 7 audit: a clear that lands mid-block must invalidate BOTH
-        // rotating fingerprint blocks. The stamped `clears` counter
-        // already forces every saved frontier to a full walk, but stale
-        // summary bits would still claim a now-empty store may contain
-        // probes — harmless for soundness (false positives only), wrong
-        // as a summary. `note_clear` zeroes both blocks; pin it.
-        let mut log = InsertLog::new(256);
-        for _ in 0..REPAIR_CAP + 3 {
-            // Past one block rotation, landing mid-way into block 1.
-            log.record(2, &b("λ,λ"));
-        }
-        assert!(log.summary_may_contain(&b("0,0")));
+        // A clear is stamped; the monotone insert count survives it.
         log.note_clear();
         assert_eq!(log.clears(), 1);
-        assert!(
-            !log.summary_may_contain(&b("0,0")),
-            "both summary blocks must be zeroed by a mid-block clear"
-        );
-        // The monotone insert count survives; new records repopulate the
-        // summary from scratch with no ghost bits from before the clear.
-        assert_eq!(log.insert_count(), REPAIR_CAP + 3);
-        log.record(2, &b("0,λ"));
-        assert!(log.summary_may_contain(&b("00,1")));
-        assert!(!log.summary_may_contain(&b("1,1")));
+        assert_eq!(log.insert_count(), 3);
+    }
+
+    #[test]
+    fn ring_keeps_the_full_repair_window() {
+        // Past several wraps, the window of the last REPAIR_CAP inserts
+        // is intact: its oldest entry is still read, and a window that
+        // starts one insert later no longer sees it.
+        let mut log = InsertLog::default();
+        let total = 3 * REPAIR_CAP + 5;
+        let oldest = total - REPAIR_CAP;
+        for i in 0..total {
+            let bx = if i == oldest { b("1,λ") } else { b("00,0") };
+            log.record(2, &bx);
+        }
+        assert_eq!(log.lag(oldest), REPAIR_CAP);
+        let (_, best) = log.best_candidate(&b("11,1"), 0, oldest).unwrap();
+        assert_eq!(best, b("1,λ"));
+        assert!(log.best_candidate(&b("11,1"), 0, oldest + 1).is_none());
     }
 
     #[test]

@@ -1,71 +1,82 @@
 //! The multilevel dyadic tree (paper Appendix C.1): the knowledge base
 //! every Tetris engine runs on.
 
-use crate::store::{is_child_at, DescentProbe, InsertCursor, InsertLog, StoreTuning, REPAIR_CAP};
+use crate::store::{is_child_at, DescentProbe, InsertCursor, InsertLog, REPAIR_CAP};
 use dyadic::{DyadicBox, DyadicInterval, MAX_DIMS};
 
+/// The top bit of a node's `link` word: the **λ-tail bit** (see
+/// [`Node`]). Every link — child or `next` — is a 31-bit id or sentinel.
+const LAM: u32 = 1 << 31;
+
 /// Sentinel for "no node".
-const NONE: u32 = u32::MAX;
+const NONE: u32 = LAM - 1;
 
 /// Sentinel for an **implicit λ-tail leaf**: a position where exactly
 /// one stored box ends, λ on every later dimension, with nothing passing
 /// through. Such a position says nothing its parent's slot could not, so
 /// it gets no node; walks read it as [`Node::LEAF`].
-const LEAF: u32 = u32::MAX - 1;
+const LEAF: u32 = LAM - 2;
 
 /// Slot index of the `next` link in [`BoxTree::step`] (0 and 1 are the
 /// child bits).
 const NEXT: usize = 2;
 
-/// One node of one level's dyadic (binary) tree.
+/// One node of one level's dyadic (binary) tree, in 12 bytes.
 ///
-/// `children[b]` follows bit `b` of the current dimension's bitstring;
-/// `next` points at the root of the *next level's* tree for boxes whose
-/// current component ends at this node. At the last level `next == NONE`
-/// and `terminal` marks stored boxes. Any link may instead be [`LEAF`].
-///
-/// `lam` caches the λ-tail fact — "a stored box ends its component at
-/// this node and is λ on every later dimension" — the question every
-/// frontier advance asks per surviving entry. It is maintained on
-/// insert (the only two mutations are insert and full clear, and clears
-/// reset every node), turning an up-to-`n`-hop pointer chase into one
-/// bit read on a line the advance already touches.
+/// `children[b]` follows bit `b` of the current dimension's bitstring.
+/// The low 31 bits of `link` hold `next`, the root of the *next level's*
+/// tree for boxes whose current component ends at this node (`NONE` at
+/// the last level). The top bit ([`LAM`]) is the λ-tail fact — "a stored
+/// box ends its component at this node and is λ on every later
+/// dimension" — the question every frontier advance asks per surviving
+/// entry. At the last level that fact is exactly "a stored box ends
+/// here", so the bit doubles as the terminal mark. It is set on insert
+/// (the only two mutations are insert and full clear, and clears reset
+/// every node), turning an up-to-`n`-hop pointer chase into one bit read
+/// on a line the advance already touches. Any link may instead be
+/// [`LEAF`].
 #[derive(Clone, Copy, Debug)]
 struct Node {
     children: [u32; 2],
-    next: u32,
-    terminal: bool,
-    lam: bool,
+    link: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<Node>() == 12);
 
 impl Node {
     const EMPTY: Node = Node {
         children: [NONE, NONE],
-        next: NONE,
-        terminal: false,
-        lam: false,
+        link: NONE,
     };
 
     /// What a [`LEAF`] link reads as: λ-tail bit set, no children, `next`
-    /// another leaf, terminal at the last level. (Walks read `next` only
-    /// below the last level and `terminal` only at it.)
+    /// another leaf. (Walks read `next` only below the last level.)
     const LEAF: Node = Node {
         children: [NONE, NONE],
-        next: LEAF,
-        terminal: true,
-        lam: true,
+        link: LAM | LEAF,
     };
 
     /// The real node a leaf on level `level` of an `n`-level store
     /// becomes once a later box must pass through it: the same facts,
     /// with writable slots.
     fn from_leaf(level: usize, n: usize) -> Node {
-        let last = level + 1 == n;
+        let next = if level + 1 == n { NONE } else { LEAF };
         Node {
-            next: if last { NONE } else { LEAF },
-            terminal: last,
+            link: LAM | next,
             ..Node::LEAF
         }
+    }
+
+    /// The next level's root (`NONE` at the last level).
+    #[inline]
+    fn next(&self) -> u32 {
+        self.link & !LAM
+    }
+
+    /// The λ-tail bit; at the last level, whether a stored box ends here.
+    #[inline]
+    fn lam(&self) -> bool {
+        self.link & LAM != 0
     }
 }
 
@@ -117,13 +128,8 @@ pub(crate) struct BinaryEntry {
 }
 
 impl BoxTree {
-    /// An empty store for `n`-dimensional boxes (default tuning).
+    /// An empty store for `n`-dimensional boxes.
     pub fn new(n: usize) -> Self {
-        Self::with_tuning(n, StoreTuning::default())
-    }
-
-    /// An empty store with an explicit insert-ring length.
-    pub fn with_tuning(n: usize, tuning: StoreTuning) -> Self {
         assert!(n >= 1, "boxes must have at least one dimension");
         let mut nodes = Vec::with_capacity(1024);
         nodes.push(Node::EMPTY); // level-0 root
@@ -133,7 +139,7 @@ impl BoxTree {
             n,
             len: 0,
             epoch: 0,
-            log: InsertLog::new(tuning.insert_ring),
+            log: InsertLog::default(),
             cursor: InsertCursor::new(n, 0),
         }
     }
@@ -172,7 +178,7 @@ impl BoxTree {
         while let Some((id, d)) = stack.pop() {
             max_depth = max_depth.max(d);
             let node = &self.nodes[id as usize];
-            for link in [node.children[0], node.children[1], node.next] {
+            for link in [node.children[0], node.children[1], node.next()] {
                 if link != NONE && link != LEAF {
                     stack.push((link, d + 1));
                 }
@@ -212,12 +218,13 @@ impl BoxTree {
     }
 
     fn alloc(&mut self) -> u32 {
-        // `LEAF` and `NONE` are the two largest u32 values, so real ids
-        // stay below `LEAF`; guard before allocating rather than silently
-        // truncating node ids (or minting a sentinel) on huge stores.
+        // `LEAF` and `NONE` are the two largest 31-bit values, so real
+        // ids stay below `LEAF`; guard before allocating rather than
+        // silently truncating node ids (or minting a sentinel, or
+        // spilling into the λ-tail bit) on huge stores.
         assert!(
             self.nodes.len() < LEAF as usize,
-            "BoxTree: node-id space (u32) exhausted"
+            "BoxTree: node-id space (31 bits) exhausted"
         );
         let id = self.nodes.len() as u32;
         self.nodes.push(Node::EMPTY);
@@ -234,14 +241,24 @@ impl BoxTree {
         }
     }
 
-    /// The writable link `slot` (a child bit or [`NEXT`]) of real node
-    /// `parent`.
-    fn slot_mut(&mut self, parent: u32, slot: usize) -> &mut u32 {
+    /// The link `slot` (a child bit or [`NEXT`]) of real node `parent`.
+    fn link(&self, parent: u32, slot: usize) -> u32 {
+        let nd = &self.nodes[parent as usize];
+        if slot == NEXT {
+            nd.next()
+        } else {
+            nd.children[slot]
+        }
+    }
+
+    /// Point the link `slot` of real node `parent` at `to`. A `next`
+    /// write keeps the node's λ-tail bit: only the id moves.
+    fn set_link(&mut self, parent: u32, slot: usize, to: u32) {
         let nd = &mut self.nodes[parent as usize];
         if slot == NEXT {
-            &mut nd.next
+            nd.link = (nd.link & LAM) | to;
         } else {
-            &mut nd.children[slot]
+            nd.children[slot] = to;
         }
     }
 
@@ -261,10 +278,10 @@ impl BoxTree {
         if parent == LEAF {
             return LEAF; // the rest of the λ-tail is implicit
         }
-        let link = *self.slot_mut(parent, slot);
+        let link = self.link(parent, slot);
         match link {
             NONE if in_tail => {
-                *self.slot_mut(parent, slot) = LEAF;
+                self.set_link(parent, slot, LEAF);
                 *leaf_fresh = Some(true);
                 LEAF
             }
@@ -280,7 +297,7 @@ impl BoxTree {
                 if link == LEAF {
                     self.nodes[id as usize] = Node::from_leaf(level, self.n);
                 }
-                *self.slot_mut(parent, slot) = id;
+                self.set_link(parent, slot, id);
                 id
             }
             real => real,
@@ -335,19 +352,19 @@ impl BoxTree {
         }
         #[cfg(debug_assertions)]
         self.debug_check_cursor(b);
+        // The final node's λ-tail bit is its terminal mark, and the loop
+        // below sets it: read it first, or every fresh box ending at an
+        // existing real node would read as a duplicate.
+        let fresh = leaf_fresh.unwrap_or_else(|| !self.nodes[node as usize].lam());
         // Every real end-of-component node on the λ-tail chain gains the
         // λ-tail fact (a leaf has it implicitly); all of them sit on the
-        // cursor path.
+        // cursor path, the final node last.
         for i in t0..self.n {
             let e = self.cursor.end_node(i, b);
             if e != LEAF {
-                self.nodes[e as usize].lam = true;
+                self.nodes[e as usize].link |= LAM;
             }
         }
-        let fresh = leaf_fresh.unwrap_or_else(|| {
-            let nd = &mut self.nodes[node as usize];
-            !std::mem::replace(&mut nd.terminal, true)
-        });
         if fresh {
             self.len += 1;
             self.epoch += 1;
@@ -370,7 +387,7 @@ impl BoxTree {
                 assert_eq!(self.cursor.node_at(dim, k + 1), node, "cursor bit node");
             }
             if dim + 1 < self.n {
-                node = self.node(node).next;
+                node = self.node(node).next();
             }
         }
     }
@@ -390,14 +407,14 @@ impl BoxTree {
                 node = child;
             }
             if dim + 1 < self.n {
-                let next = self.node(node).next;
+                let next = self.node(node).next();
                 if next == NONE {
                     return false;
                 }
                 node = next;
             }
         }
-        self.node(node).terminal
+        self.node(node).lam()
     }
 
     /// Find one stored box `a ⊇ b`, if any (Algorithm 1, line 1).
@@ -433,13 +450,13 @@ impl BoxTree {
         loop {
             let nd = self.node(node);
             if last {
-                if nd.terminal {
+                if nd.lam() {
                     scratch.set(dim, iv.truncate(k));
                     return true;
                 }
-            } else if nd.next != NONE {
+            } else if nd.next() != NONE {
                 scratch.set(dim, iv.truncate(k));
-                if self.first_containing(nd.next, dim + 1, b, scratch) {
+                if self.first_containing(nd.next(), dim + 1, b, scratch) {
                     return true;
                 }
             }
@@ -503,15 +520,6 @@ impl BoxTree {
                 if lag <= REPAIR_CAP {
                     state.repairs += 1;
                     state.last_repair_window = lag;
-                    state.last_repair_hit = false;
-                    if !self.log.summary_may_contain(b) {
-                        // The fingerprint summary proves no lagging insert
-                        // contains `b`, so the window scan would come back
-                        // empty and the advanced frontier alone decides —
-                        // exactly the lag == 0 case.
-                        state.repair_fasts += 1;
-                        return self.advance_probe(b, dim, state);
-                    }
                     return self.advance_repair(b, dim, state);
                 }
             }
@@ -661,7 +669,7 @@ impl BoxTree {
                 let bit = ((cv.bits() >> (cv.len() - 1 - k)) & 1) as usize;
                 node = self.node(node).children[bit];
             }
-            node = self.node(node).next;
+            node = self.node(node).next();
         }
         let iv = b.get(dim);
         for k in 0..iv.len() {
@@ -677,7 +685,7 @@ impl BoxTree {
     /// under debug assertions. A [`LEAF`] answers from the parent's slot
     /// alone, without loading a node.
     fn lambda_tail(&self, node: u32, _dim: usize) -> bool {
-        let cached = node == LEAF || self.nodes[node as usize].lam;
+        let cached = node == LEAF || self.nodes[node as usize].lam();
         #[cfg(debug_assertions)]
         debug_assert_eq!(cached, self.lambda_tail_walk(node, _dim));
         cached
@@ -690,12 +698,12 @@ impl BoxTree {
         for d in dim..self.n {
             let nd = self.node(x);
             if d + 1 == self.n {
-                return nd.terminal;
+                return nd.lam();
             }
-            if nd.next == NONE {
+            if nd.next() == NONE {
                 return false;
             }
-            x = nd.next;
+            x = nd.next();
         }
         unreachable!("loop returns at the last level")
     }
@@ -749,14 +757,14 @@ impl BoxTree {
             }
             let nd = self.node(node);
             if last {
-                if nd.terminal {
+                if nd.lam() {
                     scratch.set(level, iv.truncate(k));
                     return true;
                 }
-            } else if nd.next != NONE {
+            } else if nd.next() != NONE {
                 scratch.set(level, iv.truncate(k));
                 lens[level] = k;
-                if self.walk_record(nd.next, level + 1, b, dim, lens, scratch, entries) {
+                if self.walk_record(nd.next(), level + 1, b, dim, lens, scratch, entries) {
                     return true;
                 }
             }
@@ -837,14 +845,14 @@ impl BoxTree {
         // Any box whose component ends at `prefix` is prefix-comparable
         // with the target here by construction of the walk.
         if dim + 1 == self.n {
-            if nd.terminal {
+            if nd.lam() {
                 scratch.set(dim, prefix);
                 visit(scratch);
             }
-        } else if nd.next != NONE {
+        } else if nd.next() != NONE {
             scratch.set(dim, prefix);
             self.walk_intersecting(
-                nd.next,
+                nd.next(),
                 dim + 1,
                 target,
                 DyadicInterval::lambda(),
@@ -890,15 +898,15 @@ impl BoxTree {
             let prefix = iv.truncate(k);
             let nd = self.node(node);
             if dim + 1 == self.n {
-                if nd.terminal {
+                if nd.lam() {
                     scratch.set(dim, prefix);
                     if visit(scratch) {
                         return true;
                     }
                 }
-            } else if nd.next != NONE {
+            } else if nd.next() != NONE {
                 scratch.set(dim, prefix);
-                if self.walk_containing(nd.next, dim + 1, b, scratch, visit) {
+                if self.walk_containing(nd.next(), dim + 1, b, scratch, visit) {
                     return true;
                 }
             }
@@ -939,13 +947,13 @@ impl BoxTree {
     ) {
         let nd = self.node(node);
         if dim + 1 == self.n {
-            if nd.terminal {
+            if nd.lam() {
                 scratch.set(dim, prefix);
                 out.push(*scratch);
             }
-        } else if nd.next != NONE {
+        } else if nd.next() != NONE {
             scratch.set(dim, prefix);
-            self.walk_all(nd.next, dim + 1, DyadicInterval::lambda(), scratch, out);
+            self.walk_all(nd.next(), dim + 1, DyadicInterval::lambda(), scratch, out);
         }
         for bit in 0..2u8 {
             let child = nd.children[bit as usize];
@@ -1400,6 +1408,33 @@ mod tests {
             .into_iter()
             .collect();
         assert_eq!(t.node_count(), 6);
+    }
+
+    #[test]
+    fn fresh_box_ending_at_a_real_node_is_new() {
+        // ⟨10,0⟩ ends at the real node "0" under ⟨10,001⟩'s level-1 root.
+        // Its λ-tail bit is also its terminal mark, so `insert` must read
+        // it before setting it.
+        let mut t = BoxTree::new(2);
+        assert!(t.insert(&b("10,001")));
+        assert!(t.insert(&b("10,0")));
+        assert!(!t.insert(&b("10,0")));
+        assert_holds(&t, &[b("10,001"), b("10,0")]);
+    }
+
+    #[test]
+    fn next_write_keeps_the_lambda_tail_bit() {
+        // ⟨1,0⟩ promotes ⟨1,λ⟩'s leaf "1" (λ-tail bit set) and then
+        // writes its `next` slot; the bit must survive that write.
+        let mut t = BoxTree::new(2);
+        t.insert(&b("1,λ"));
+        t.insert(&b("1,0"));
+        let mut probe = DescentProbe::new();
+        assert_eq!(t.find_containing_tracked(&b("λ,λ"), 0, &mut probe), None);
+        let got = t.find_containing_tracked(&b("1,λ"), 0, &mut probe);
+        assert_eq!(probe.advances, 1, "the probe must advance, not re-walk");
+        assert_eq!(got, Some(b("1,λ")));
+        assert_eq!(got, t.find_containing(&b("1,λ")));
     }
 
     #[test]

@@ -16,11 +16,8 @@
 //! [`Descent::RestartMemo`] shows how far coverage-epoch marks alone
 //! ([`boxstore::CoverageMarks`]) can repair it.
 
-use crate::{TetrisStats, TraceEvent};
-use boxstore::{
-    BoxOracle, BoxTree, CoverProbe, CoverageMarks, DescentProbe, FrontierStack, StoreTuning,
-    DEFAULT_INSERT_RING,
-};
+use crate::{TetrisStats, TraceConfig, TraceEvent};
+use boxstore::{BoxOracle, BoxTree, CoverProbe, CoverageMarks, DescentProbe, FrontierStack};
 use dyadic::{resolve::ordered_resolve, DyadicBox, DyadicInterval, Space};
 use obs::ObsSink;
 
@@ -75,36 +72,11 @@ pub struct TetrisConfig {
     pub cache_resolvents: bool,
     /// Descent strategy between knowledge-base changes.
     pub descent: Descent,
-    /// Length of every store's rolling insert ring — the window of recent
-    /// inserts a frame-saved probe frontier can be repaired against
-    /// (default [`boxstore::DEFAULT_INSERT_RING`] = 256; must be at least
-    /// [`boxstore::REPAIR_CAP`]).
-    pub insert_ring: usize,
-    /// Cap on the insert log a parallel thief hands back to its donor at
-    /// a donation join; beyond it the merge is truncated — the log is an
-    /// optimization, any subset is sound to merge (default
-    /// [`crate::DEFAULT_MERGE_CAP`] = 4096).
-    pub merge_cap: usize,
     /// Record [`TraceEvent`]s through a bounded [`obs::FlightRecorder`]
-    /// ring. The ring keeps the most recent [`TetrisConfig::trace_capacity`]
-    /// accepted events and accounts for everything it evicts
-    /// (`TetrisStats::trace_recorded` / `trace_dropped`), so tracing is
-    /// safe at graph scale — no unbounded `Vec` growth.
-    pub trace: bool,
-    /// Flight-recorder ring capacity (default
-    /// [`obs::DEFAULT_TRACE_CAPACITY`]; must be positive). The worked
-    /// paper examples fit the default without wrapping, so their traces
-    /// are byte-identical to the old unbounded channel.
-    pub trace_capacity: usize,
-    /// Event-kind bitmask for the flight recorder (bit positions are the
-    /// [`TraceEvent::kind`] indices, default all kinds). A masked-out
-    /// event is never even constructed.
-    pub trace_kinds: u32,
-    /// Minimum descent-stack depth for a trace event to be recorded
-    /// (default 0 = everything). Raising the floor focuses the bounded
-    /// ring on the deep leaf-level region — exactly where the T1.1
-    /// re-resolution blowup lives (EXPERIMENTS.md §12–§13).
-    pub trace_depth_floor: u64,
+    /// ring sized and filtered by the [`TraceConfig`] (`None` = untraced,
+    /// the default). The ring accounts for everything it evicts, so
+    /// tracing is safe at graph scale — no unbounded `Vec` growth.
+    pub trace: Option<TraceConfig>,
     /// Collect an [`obs::Ledger`] of phase spans and power-of-two
     /// histograms (resolution depth, probe walk length, repair window,
     /// donated-shard size) alongside the counters. Off by default: with
@@ -121,12 +93,7 @@ impl Default for TetrisConfig {
             preload: false,
             cache_resolvents: true,
             descent: Descent::Incremental,
-            insert_ring: DEFAULT_INSERT_RING,
-            merge_cap: crate::parallel::DEFAULT_MERGE_CAP,
-            trace: false,
-            trace_capacity: obs::DEFAULT_TRACE_CAPACITY,
-            trace_kinds: u32::MAX,
-            trace_depth_floor: 0,
+            trace: None,
             obs: false,
         }
     }
@@ -204,13 +171,9 @@ impl Frame {
 /// Build the bounded trace channel a config asks for (`None` when
 /// untraced — those runs allocate nothing for tracing).
 fn recorder_for(config: &TetrisConfig) -> Option<obs::FlightRecorder<TraceEvent>> {
-    config.trace.then(|| {
-        obs::FlightRecorder::with_policy(
-            config.trace_capacity,
-            config.trace_kinds,
-            config.trace_depth_floor,
-        )
-    })
+    config
+        .trace
+        .map(|t| obs::FlightRecorder::with_policy(t.capacity.get(), t.kinds, t.depth_floor))
 }
 
 /// The dimension-0 navigation word of a box — the attribution ledger's
@@ -265,13 +228,10 @@ impl<'o, O: BoxOracle + ?Sized> Tetris<'o, O> {
     /// (this call) and the solve (the terminal call) separately.
     pub fn with_config(oracle: &'o O, config: TetrisConfig) -> Self {
         let space = oracle.space();
-        let tuning = StoreTuning {
-            insert_ring: config.insert_ring,
-        };
         let mut engine = Tetris {
             oracle,
             space,
-            kb: BoxTree::with_tuning(space.n(), tuning),
+            kb: BoxTree::new(space.n()),
             config,
             stats: TetrisStats::new(space.n()),
             trace: recorder_for(&config),
@@ -326,9 +286,9 @@ impl<'o, O: BoxOracle + ?Sized> Tetris<'o, O> {
         self
     }
 
-    /// Enable tracing (builder style).
+    /// Enable tracing with the default [`TraceConfig`] (builder style).
     pub fn traced(mut self) -> Self {
-        self.config.trace = true;
+        self.config.trace = Some(TraceConfig::default());
         self.trace = recorder_for(&self.config);
         self
     }
@@ -355,7 +315,6 @@ impl<'o, O: BoxOracle + ?Sized> Tetris<'o, O> {
     fn sync_probe_stats(&mut self) {
         self.stats.probe_advances = self.probe.advances;
         self.stats.probe_repairs = self.probe.repairs;
-        self.stats.probe_repair_fasts = self.probe.repair_fasts;
         self.stats.probe_full_walks = self.probe.full_walks;
         if let Some(r) = &self.trace {
             self.stats.trace_recorded = r.recorded();
@@ -978,8 +937,16 @@ mod tests {
         assert_eq!(plain.stats.trace_dropped, 0);
     }
 
+    /// The default config, traced through `trace`.
+    fn traced_with(trace: TraceConfig) -> TetrisConfig {
+        TetrisConfig {
+            trace: Some(trace),
+            ..Default::default()
+        }
+    }
+
     #[test]
-    fn tiny_trace_capacity_keeps_the_tail_and_counts_drops() {
+    fn tiny_trace_ring_keeps_the_tail_and_counts_drops() {
         let oracle = example_4_4_oracle();
         // Reference: an unbounded-enough ring holds every event.
         let full = Tetris::reloaded(&oracle).traced().run();
@@ -989,13 +956,13 @@ mod tests {
         // A tiny ring wraps: it keeps exactly the most recent `cap`
         // events and accounts for every eviction.
         for cap in [1usize, 2, 4, 7] {
+            let capacity = std::num::NonZeroUsize::new(cap).unwrap();
             let out = Tetris::with_config(
                 &oracle,
-                TetrisConfig {
-                    trace: true,
-                    trace_capacity: cap,
+                traced_with(TraceConfig {
+                    capacity,
                     ..Default::default()
-                },
+                }),
             )
             .run();
             let kept = (total as usize).min(cap);
@@ -1026,11 +993,10 @@ mod tests {
         // constructed, never recorded, and never counted as drops.
         let masked = Tetris::with_config(
             &oracle,
-            TetrisConfig {
-                trace: true,
-                trace_kinds: 1 << TraceEvent::KIND_RESOLVE,
+            traced_with(TraceConfig {
+                kinds: 1 << TraceEvent::KIND_RESOLVE,
                 ..Default::default()
-            },
+            }),
         )
         .run();
         assert!(masked
@@ -1043,11 +1009,10 @@ mod tests {
         // identical to the untraced run apart from the recorder fields.
         let floored = Tetris::with_config(
             &oracle,
-            TetrisConfig {
-                trace: true,
-                trace_depth_floor: 64,
+            traced_with(TraceConfig {
+                depth_floor: 64,
                 ..Default::default()
-            },
+            }),
         )
         .run();
         assert!(floored.trace.is_empty());
@@ -1056,11 +1021,10 @@ mod tests {
         // top-of-stack steps) while keeping the deep resolution region.
         let floor1 = Tetris::with_config(
             &oracle,
-            TetrisConfig {
-                trace: true,
-                trace_depth_floor: 1,
+            traced_with(TraceConfig {
+                depth_floor: 1,
                 ..Default::default()
-            },
+            }),
         )
         .run();
         assert!(!floor1

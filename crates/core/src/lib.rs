@@ -58,9 +58,9 @@ mod stats;
 mod trace;
 
 pub use engine::{Descent, Tetris, TetrisConfig, TetrisOutput};
-pub use parallel::DEFAULT_MERGE_CAP;
+pub use parallel::MERGE_CAP;
 pub use stats::TetrisStats;
-pub use trace::TraceEvent;
+pub use trace::{TraceConfig, TraceEvent};
 
 /// The most join variables (dimensions) a query may have.
 pub use dyadic::MAX_DIMS;

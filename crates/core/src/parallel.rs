@@ -50,7 +50,7 @@
 
 use crate::engine::{nav0, Frame, Tetris, TetrisOutput};
 use crate::TetrisStats;
-use boxstore::{BoxOracle, BoxTree, DescentProbe, FrontierStack, StoreTuning};
+use boxstore::{BoxOracle, BoxTree, DescentProbe, FrontierStack};
 use dyadic::{resolve::ordered_resolve, DyadicBox, DyadicInterval, Space};
 use executor::{Pool, Worker};
 use obs::{Ledger, ObsSink, Phase};
@@ -63,11 +63,10 @@ use std::sync::{Arc, Mutex};
 /// enough that the checks are noise on real workloads.
 const CHECK_MASK: u64 = 15;
 
-/// Default cap on the resolvent log a task hands back to its donor;
-/// beyond this the merge is truncated (the log is an optimization — any
-/// subset of it is sound to merge). Surfaced through
-/// `TetrisConfig::merge_cap`.
-pub const DEFAULT_MERGE_CAP: usize = 4096;
+/// Cap on the resolvent log a task hands back to its donor; beyond this
+/// the merge is truncated (the log is an optimization — any subset of it
+/// is sound to merge).
+pub const MERGE_CAP: usize = 4096;
 
 /// Retired overlay shards kept per worker for reuse; beyond this they
 /// are dropped (bounds how much arena capacity idles in the pools).
@@ -129,10 +128,6 @@ struct ParCtx<'a, O: BoxOracle + ?Sized> {
     /// reloaded mode), frozen for the duration of the run.
     base: &'a BoxTree,
     cache_resolvents: bool,
-    /// Store tuning for freshly allocated overlay shards.
-    tuning: StoreTuning,
-    /// Cap on a thief's merge-on-return insert log.
-    merge_cap: usize,
     /// Each task carries its own [`Ledger`] when set (merged at report
     /// collection — the hot path never shares one).
     obs: bool,
@@ -179,24 +174,18 @@ pub(crate) fn run_parallel<O: BoxOracle + ?Sized>(
         ..
     } = engine;
     assert!(
-        !config.trace,
+        config.trace.is_none(),
         "tracing is not supported under Descent::Parallel (event order \
          would depend on scheduling); trace a sequential descent instead"
     );
     let stop = AtomicBool::new(false);
     let reports = Mutex::new(Vec::new());
     let scratch: Vec<Mutex<Vec<BoxTree>>> = (0..threads).map(|_| Mutex::new(Vec::new())).collect();
-    // Overlay shards are built with the same tuning as the base.
-    let tuning = StoreTuning {
-        insert_ring: config.insert_ring,
-    };
     let ctx = ParCtx {
         oracle,
         space,
         base: &kb,
         cache_resolvents: config.cache_resolvents,
-        tuning,
-        merge_cap: config.merge_cap,
         obs: config.obs,
         stop_on_first,
         stop: &stop,
@@ -208,7 +197,7 @@ pub(crate) fn run_parallel<O: BoxOracle + ?Sized>(
     stats.par_shard_allocs += 1;
     let root = Task {
         target: DyadicBox::universe(n),
-        shard: BoxTree::with_tuning(n, tuning),
+        shard: BoxTree::new(n),
         cell: None,
     };
     Pool::scope(threads, vec![root], |task, worker| {
@@ -301,7 +290,6 @@ fn run_task<O: BoxOracle + ?Sized>(ctx: &ParCtx<'_, O>, task: Task, worker: &Wor
     eng.stats.par_tasks = 1;
     eng.stats.probe_advances = eng.base_probe.advances + eng.shard_probe.advances;
     eng.stats.probe_repairs = eng.base_probe.repairs + eng.shard_probe.repairs;
-    eng.stats.probe_repair_fasts = eng.base_probe.repair_fasts + eng.shard_probe.repair_fasts;
     eng.stats.probe_full_walks = eng.base_probe.full_walks + eng.shard_probe.full_walks;
     let shard = eng.shard;
     if let Some(cell) = &cell {
@@ -379,7 +367,7 @@ impl SubEngine {
                         witness.contains(&target),
                         "subtree witness must cover the task target"
                     );
-                    self.flush_pending(ctx);
+                    self.flush_pending();
                     return witness;
                 };
                 let frame = top.frame;
@@ -402,7 +390,7 @@ impl SubEngine {
                             let Some(out1) = self.join(ctx, worker, cell, &dcell) else {
                                 return self.unwind_cancelled(target);
                             };
-                            self.merge_returned(ctx, &target, out1.inserts);
+                            self.merge_returned(&target, out1.inserts);
                             ctx.retire_shard(worker.index(), out1.shard);
                             let w1 = out1.witness;
                             if frame.covered_by(&w1, &cur) {
@@ -421,7 +409,7 @@ impl SubEngine {
                                 l.observe_resolution_at(nav0(&w));
                             }
                             if ctx.cache_resolvents {
-                                self.stream_resolvent(ctx, w);
+                                self.stream_resolvent(w);
                             }
                             witness = w;
                             continue; // the resolvent covers the target
@@ -438,7 +426,7 @@ impl SubEngine {
                         }
                         // Leaving the unwind: materialize the in-flight
                         // resolvent before the 1-side descent probes.
-                        self.flush_pending(ctx);
+                        self.flush_pending();
                         continue 'descend;
                     }
                     Some(w1) => {
@@ -452,7 +440,7 @@ impl SubEngine {
                             l.observe_resolution_at(nav0(&w));
                         }
                         if ctx.cache_resolvents {
-                            self.stream_resolvent(ctx, w);
+                            self.stream_resolvent(w);
                         }
                         witness = w;
                     }
@@ -541,7 +529,7 @@ impl SubEngine {
                     if let Some(l) = &mut self.obs {
                         l.observe_insert_at(nav0(h));
                     }
-                    if self.inserts.len() < ctx.merge_cap {
+                    if self.inserts.len() < MERGE_CAP {
                         self.inserts.push(*h);
                     }
                 }
@@ -553,13 +541,13 @@ impl SubEngine {
     }
 
     /// Insert a resolvent into the shard, logging it for merge-on-return.
-    fn insert_shard<O: BoxOracle + ?Sized>(&mut self, ctx: &ParCtx<'_, O>, w: &DyadicBox) {
+    fn insert_shard(&mut self, w: &DyadicBox) {
         if self.shard.insert(w) {
             self.stats.kb_inserts += 1;
             if let Some(l) = &mut self.obs {
                 l.observe_insert_at(nav0(w));
             }
-            if self.inserts.len() < ctx.merge_cap {
+            if self.inserts.len() < MERGE_CAP {
                 self.inserts.push(*w);
             }
         } else if let Some(l) = &mut self.obs {
@@ -574,31 +562,26 @@ impl SubEngine {
 
     /// Route a fresh resolvent through the streaming slot: the previous
     /// one is dropped if subsumed, materialized otherwise.
-    fn stream_resolvent<O: BoxOracle + ?Sized>(&mut self, ctx: &ParCtx<'_, O>, w: DyadicBox) {
+    fn stream_resolvent(&mut self, w: DyadicBox) {
         match self.pending.take() {
             Some(p) if w.contains(&p) => self.stats.kb_insert_skips += 1,
-            Some(p) => self.insert_shard(ctx, &p),
+            Some(p) => self.insert_shard(&p),
             None => {}
         }
         self.pending = Some(w);
     }
 
     /// Materialize the in-flight resolvent (no-op when none is pending).
-    fn flush_pending<O: BoxOracle + ?Sized>(&mut self, ctx: &ParCtx<'_, O>) {
+    fn flush_pending(&mut self) {
         if let Some(p) = self.pending.take() {
-            self.insert_shard(ctx, &p);
+            self.insert_shard(&p);
         }
     }
 
     /// Merge a finished thief's insert log into this shard — resolvents
     /// and loads that escape the thief's target can answer the donor's
     /// future probes.
-    fn merge_returned<O: BoxOracle + ?Sized>(
-        &mut self,
-        ctx: &ParCtx<'_, O>,
-        target: &DyadicBox,
-        inserts: Vec<DyadicBox>,
-    ) {
+    fn merge_returned(&mut self, target: &DyadicBox, inserts: Vec<DyadicBox>) {
         for b in inserts {
             if self.shard.insert(&b) {
                 self.stats.kb_inserts += 1;
@@ -610,7 +593,7 @@ impl SubEngine {
                 }
                 // Propagate further up the donation chain if it also
                 // escapes *our* target.
-                if !target.contains(&b) && self.inserts.len() < ctx.merge_cap {
+                if !target.contains(&b) && self.inserts.len() < MERGE_CAP {
                     self.inserts.push(b);
                 }
             }
@@ -649,7 +632,7 @@ impl SubEngine {
                 Some(s) => s,
                 None => {
                     self.stats.par_shard_allocs += 1;
-                    BoxTree::with_tuning(n, ctx.tuning)
+                    BoxTree::new(n)
                 }
             };
             // `extract_intersecting_into` clears the shard before

@@ -32,11 +32,6 @@ pub struct TetrisStats {
     /// frontier and repairing it against the store's rolling insert log
     /// (right-sibling descents after resolvent inserts).
     pub probe_repairs: u64,
-    /// Repairs resolved by the insert log's 64-bit fingerprint summary
-    /// alone — the summary proved no lagging insert could contain the
-    /// probe, so the `REPAIR_CAP`-window `contains` scan was skipped
-    /// (subset of [`TetrisStats::probe_repairs`]).
-    pub probe_repair_fasts: u64,
     /// Knowledge-base probes that performed a full store walk.
     pub probe_full_walks: u64,
     /// Boxes inserted into the knowledge base (all sources).
@@ -104,7 +99,6 @@ impl TetrisStats {
         self.mark_hits += other.mark_hits;
         self.probe_advances += other.probe_advances;
         self.probe_repairs += other.probe_repairs;
-        self.probe_repair_fasts += other.probe_repair_fasts;
         self.probe_full_walks += other.probe_full_walks;
         self.kb_inserts += other.kb_inserts;
         self.kb_insert_skips += other.kb_insert_skips;

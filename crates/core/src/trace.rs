@@ -3,6 +3,39 @@
 
 use dyadic::DyadicBox;
 use std::fmt;
+use std::num::NonZeroUsize;
+
+/// What a traced run records ([`crate::TetrisConfig::trace`]): the
+/// bounded [`obs::FlightRecorder`] ring's capacity and its two
+/// pre-filters.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TraceConfig {
+    /// Ring capacity: the run keeps its most recent `capacity` accepted
+    /// events and accounts for everything it evicts
+    /// (`TetrisStats::trace_recorded` / `trace_dropped`). The default,
+    /// [`obs::DEFAULT_TRACE_CAPACITY`], holds every worked paper example
+    /// without wrapping.
+    pub capacity: NonZeroUsize,
+    /// Event-kind bitmask (bit positions are the [`TraceEvent::kind`]
+    /// indices; default all kinds). A masked-out event is never even
+    /// constructed.
+    pub kinds: u32,
+    /// Minimum descent-stack depth for an event to be recorded (default
+    /// 0 = everything). Raising the floor focuses the ring on the deep
+    /// leaf-level region — exactly where the T1.1 re-resolution blowup
+    /// lives (EXPERIMENTS.md §12–§13).
+    pub depth_floor: u64,
+}
+
+impl Default for TraceConfig {
+    fn default() -> Self {
+        TraceConfig {
+            capacity: NonZeroUsize::new(obs::DEFAULT_TRACE_CAPACITY).expect("positive capacity"),
+            kinds: u32::MAX,
+            depth_floor: 0,
+        }
+    }
+}
 
 /// One step of a Tetris execution, recorded when tracing is enabled.
 // Since the MAX_DIMS=8 repack a DyadicBox is small enough that even the
@@ -69,7 +102,7 @@ impl TraceEvent {
     pub const KIND_MASK_ALL: u32 = (1 << 7) - 1;
 
     /// This event's kind index — its bit position in a flight-recorder
-    /// kind mask ([`crate::TetrisConfig::trace_kinds`]).
+    /// kind mask ([`TraceConfig::kinds`]).
     pub fn kind(&self) -> u32 {
         match self {
             TraceEvent::Restart => Self::KIND_RESTART,

@@ -83,8 +83,6 @@ impl PlanRun {
             ("threads", threads.to_string()),
             ("preload", c.preload.to_string()),
             ("cache_resolvents", c.cache_resolvents.to_string()),
-            ("insert_ring", c.insert_ring.to_string()),
-            ("merge_cap", c.merge_cap.to_string()),
             ("obs", c.obs.to_string()),
             ("preload_s", format!("{:.6}", self.preload_s)),
             ("solve_s", format!("{:.6}", self.solve_s)),

@@ -1,8 +1,7 @@
-//! Randomized store-conformance wall: the [`BoxTree`] knowledge base ×
-//! every insert-ring tuning, driven through random interleavings of
-//! inserts, untracked probes, engine-shaped tracked probe chains,
-//! clears, and shard extractions — each observable answer checked
-//! against a naive reference store.
+//! Randomized store-conformance wall: the [`BoxTree`] knowledge base,
+//! driven through random interleavings of inserts, untracked probes,
+//! engine-shaped tracked probe chains, clears, and shard extractions —
+//! each observable answer checked against a naive reference store.
 //!
 //! The reference pins the full store contract, not just set membership:
 //!
@@ -12,26 +11,20 @@
 //!   vector (shortest dim-0 prefix wins, then dim 1, …).
 //! * **Tracked = untracked** — `find_containing_tracked` must be
 //!   witness-identical to `find_containing` under arbitrary interleaved
-//!   inserts and clears (frontier advance, insert-log repair, the
-//!   fingerprint-summary fast path, and full-walk fallback all fire
-//!   here).
+//!   inserts and clears (frontier advance, insert-log repair and
+//!   full-walk fallback all fire here).
 //! * **Exact shards** — `extract_intersecting_into` must produce
 //!   exactly the stored boxes intersecting the target.
 //! * **Monotone epochs** — content changes advance the epoch.
 //!
-//! Every assertion message carries the `(seed, ring, step)` tuple, so a
+//! Every assertion message carries the `(seed, step)` pair, so a
 //! failure is reproducible with a one-line filter.
 
-use boxstore::{BoxTree, DescentProbe, FrontierStack, StoreTuning, REPAIR_CAP};
+use boxstore::{BoxTree, DescentProbe, FrontierStack, REPAIR_CAP};
 use dyadic::{DyadicBox, DyadicInterval, MAX_DIMS};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
-/// The knob grid: the minimum legal ring (repair windows are never
-/// overwritten at exactly `REPAIR_CAP`), the default, and an oversized
-/// ring. Conformance must be tuning-independent.
-const RINGS: [usize; 3] = [REPAIR_CAP as usize, 256, 1024];
-
-const SEEDS_PER_CONFIG: u64 = 12;
+const SEEDS: u64 = 36;
 const STEPS_PER_SEED: usize = 300;
 
 /// Brute-force reference store: a deduplicated vector of boxes.
@@ -108,13 +101,12 @@ fn sorted_boxes(s: &BoxTree) -> Vec<DyadicBox> {
     out
 }
 
-/// One random op sequence against one `(tuning, seed)` config.
-fn conformance_run(tuning: StoreTuning, seed: u64) {
-    let ring = tuning.insert_ring;
+/// One random op sequence from one seed.
+fn conformance_run(seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let n = rng.gen_range(1..=3);
     let width = rng.gen_range(2..=5) as u8;
-    let mut store = BoxTree::with_tuning(n, tuning);
+    let mut store = BoxTree::new(n);
     let mut naive = NaiveStore::default();
     // One long-lived probe state: clears and unrelated-target probes in
     // between must be survivable (the store detects staleness itself).
@@ -122,7 +114,7 @@ fn conformance_run(tuning: StoreTuning, seed: u64) {
     let mut last_epoch = store.epoch();
 
     for step in 0..STEPS_PER_SEED {
-        let ctx = || format!("seed={seed} ring={ring} step={step} n={n} width={width}");
+        let ctx = || format!("seed={seed} step={step} n={n} width={width}");
         match rng.gen_range(0..20) {
             // Inserts dominate so repair windows stay busy.
             0..=8 => {
@@ -172,7 +164,7 @@ fn conformance_run(tuning: StoreTuning, seed: u64) {
             }
             17 => {
                 let target = random_box(&mut rng, n, width);
-                let mut shard = BoxTree::with_tuning(n, tuning);
+                let mut shard = BoxTree::new(n);
                 store.extract_intersecting_into(&target, &mut shard);
                 assert_eq!(
                     sorted_boxes(&shard),
@@ -203,25 +195,24 @@ fn conformance_run(tuning: StoreTuning, seed: u64) {
     assert_eq!(
         sorted_boxes(&store),
         naive.sorted(),
-        "seed={seed} ring={ring}: final stored set"
+        "seed={seed}: final stored set"
     );
     // The chains above must actually exercise the incremental paths,
     // otherwise this wall silently stops guarding them.
     assert!(
         probe.advances + probe.repairs + probe.full_walks > 0,
-        "seed={seed} ring={ring}: no tracked probes fired"
+        "seed={seed}: no tracked probes fired"
     );
 }
 
-/// Directed clear-at-wrap scenario (PR 7 audit): drive the insert log
-/// past a ring wrap and a fingerprint-block rotation, `clear()`
-/// mid-block with a live tracked frontier, then keep probing — the
-/// stale frontier must be detected via the clear stamp and every answer
-/// must still match the reference.
-fn clear_at_wrap_run(tuning: StoreTuning) {
+/// Directed clear-at-wrap scenario: drive the insert log `span + 37`
+/// inserts past its start (wrapping the `REPAIR_CAP`-entry ring at
+/// least once), `clear()` mid-ring with a live tracked frontier, then
+/// keep probing — the stale frontier must be detected via the clear
+/// stamp and every answer must still match the reference.
+fn clear_at_wrap_run(span: usize) {
     let n = 2;
-    let ring = tuning.insert_ring;
-    let mut store = BoxTree::with_tuning(n, tuning);
+    let mut store = BoxTree::new(n);
     let mut naive = NaiveStore::default();
     let mut probe = DescentProbe::new();
 
@@ -254,14 +245,14 @@ fn clear_at_wrap_run(tuning: StoreTuning) {
             assert_eq!(
                 store.find_containing_tracked(q, n - 1, probe),
                 naive.find_containing(q),
-                "ring={ring} {when}: tracked witness for {q:?}"
+                "span={span} {when}: tracked witness for {q:?}"
             );
         }
     };
 
-    // Phase 1: wrap the ring (ring + 37 inserts lands mid fingerprint
-    // block), probing as we go so the frontier is live at the clear.
-    let wrap_inserts = ring + 37;
+    // Phase 1: wrap the ring (span + 37 inserts lands mid-ring),
+    // probing as we go so the frontier is live at the clear.
+    let wrap_inserts = span + 37;
     for (i, bx) in boxes.iter().take(wrap_inserts).enumerate() {
         assert_eq!(store.insert(bx), naive.insert(bx), "insert {bx:?}");
         if i % 16 == 0 {
@@ -269,8 +260,8 @@ fn clear_at_wrap_run(tuning: StoreTuning) {
         }
     }
 
-    // Phase 2: clear mid-block. Every saved frontier and both summary
-    // blocks are now stale; the store must notice on its own.
+    // Phase 2: clear mid-ring. Every saved frontier and every ring
+    // entry is now stale; the store must notice on its own.
     store.clear();
     naive.clear();
     assert!(store.is_empty());
@@ -278,13 +269,13 @@ fn clear_at_wrap_run(tuning: StoreTuning) {
 
     // Phase 3: rebuild past another wrap; answers must track the
     // reference with no ghosts from before the clear.
-    for bx in boxes.iter().skip(300).take(ring + 10) {
+    for bx in boxes.iter().skip(300).take(span + 10) {
         assert_eq!(store.insert(bx), naive.insert(bx), "re-insert {bx:?}");
     }
     check(&store, &naive, &mut probe, &boxes[290..330], "post-rebuild");
     assert!(
         probe.advances + probe.repairs + probe.full_walks > 0,
-        "ring={ring}: no tracked probes fired"
+        "span={span}: no tracked probes fired"
     );
 }
 
@@ -296,10 +287,10 @@ fn clear_at_wrap_run(tuning: StoreTuning) {
 /// through the chain's frontier; the racer's sibling is probed through
 /// a saved-and-restored frontier. Every answer is checked against the
 /// reference.
-fn implicit_leaves_run(tuning: StoreTuning) {
-    let ring = tuning.insert_ring;
+#[test]
+fn implicit_leaves_box_tree() {
     let parse = |s: &str| DyadicBox::parse(s).unwrap();
-    let mut store = BoxTree::with_tuning(3, tuning);
+    let mut store = BoxTree::new(3);
     let mut naive = NaiveStore::default();
     let mut probe = DescentProbe::new();
     let mut frontiers = FrontierStack::new();
@@ -322,7 +313,7 @@ fn implicit_leaves_run(tuning: StoreTuning) {
         "λ,λ,λ", "0,λ,λ", "011,0,1", "1,0,11", "0,1,101", "11,1,0", "λ,1,01", "00,01,1",
     ];
     for (step, &(insert, dim, target)) in script.iter().enumerate() {
-        let ctx = |what: &str| format!("ring={ring} step={step} ({insert}): {what}");
+        let ctx = |what: &str| format!("step={step} ({insert}): {what}");
         let bx = parse(insert);
         assert_eq!(
             store.insert(&bx),
@@ -382,34 +373,20 @@ fn implicit_leaves_run(tuning: StoreTuning) {
             );
         }
     }
-    assert_eq!(
-        sorted_boxes(&store),
-        naive.sorted(),
-        "ring={ring}: final stored set"
-    );
-}
-
-#[test]
-fn implicit_leaves_box_tree() {
-    for ring in [REPAIR_CAP as usize, 256] {
-        implicit_leaves_run(StoreTuning { insert_ring: ring });
-    }
+    assert_eq!(sorted_boxes(&store), naive.sorted(), "final stored set");
 }
 
 #[test]
 fn box_tree_conforms() {
-    for &ring in &RINGS {
-        for seed in 0..SEEDS_PER_CONFIG {
-            conformance_run(StoreTuning { insert_ring: ring }, seed);
-        }
+    for seed in 0..SEEDS {
+        conformance_run(seed);
     }
 }
 
 #[test]
 fn clear_at_wrap_box_tree() {
-    // The minimum legal ring forces the tightest wrap; the default ring
-    // exercises a mid-ring clear.
-    for ring in [REPAIR_CAP as usize, 256] {
-        clear_at_wrap_run(StoreTuning { insert_ring: ring });
+    // One lap of the ring before the clear, then several.
+    for span in [REPAIR_CAP as usize, 4 * REPAIR_CAP as usize] {
+        clear_at_wrap_run(span);
     }
 }
