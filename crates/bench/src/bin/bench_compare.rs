@@ -7,9 +7,6 @@
 //!
 //! ```text
 //! bench_compare <baseline.jsonl> <candidate.jsonl> [--max-ratio R] [--gate skew400|t2-graphs]
-//! bench_compare --check-profile <profile.jsonl>
-//! bench_compare --check-chrome <trace.json>
-//! bench_compare --check-provenance <provenance.jsonl>
 //! ```
 //!
 //! Rows are keyed by `(experiment[:graph], N, k)`; every key present in
@@ -28,47 +25,8 @@
 //! increase is a correctness-of-cost regression, not noise) and
 //! `triangles` must be **equal** (listing output is deterministic — a
 //! mismatch is a correctness bug, never noise).
-//!
-//! **Profile rows** (experiment names ending in `-profile`, written by
-//! `t2_graphs --profile`) are ledger evidence, not ratchet material:
-//! their wall cells include metrics-on overhead and their parallel
-//! counters are scheduling-dependent, so `compare` *skips* them with an
-//! explicit report line (mirroring the null-RSS skip semantics) whether
-//! or not the other snapshot carries them. They are checked instead by
-//! `--check-profile`, which asserts the ledger-balance invariants on
-//! every row of a profile file: each histogram's total must equal its
-//! counter column (`depth_hist` ↔ `resolutions`, `walk_hist` ↔
-//! `kb_queries`, `repair_hist` ↔ `repairs`, `donate_hist` ↔
-//! `donations`), sequential rows must balance `advances + repairs +
-//! full_walks == kb_queries` exactly, and the memory ledger must be
-//! present and sane. Parallel rows bound the probe sum between
-//! `kb_queries` and `2·kb_queries` (frozen base + overlay shard per
-//! query).
-//!
-//! Rows carrying an `attr` cell (the SAO-prefix attribution ledger,
-//! written since PR 10) additionally must balance: the per-prefix
-//! resolution counts sum to the row's `resolutions` column **exactly in
-//! every mode** (the attribution site is adjacent to the resolution
-//! counter and worker ledgers merge losslessly), re-resolutions never
-//! exceed resolutions, attributed inserts never exceed `kb_inserts`
-//! (preload bulk builds are unattributed), and repair hits never exceed
-//! `repairs`. The report names each row's top-3 hottest prefixes.
-//!
-//! `--check-chrome` validates a `t2_graphs --trace-out` file: a Chrome
-//! trace-event JSON array with one complete (`"ph":"X"`) event object
-//! per line, every event carrying numeric `ts`/`dur`/`pid`/`tid` — each
-//! line is re-parsed with the same flat-object JSONL parser the
-//! snapshots use. `--check-provenance` validates a `t2_graphs
-//! --provenance` file: every `t2-provenance` row must carry the replay
-//! fields (query, generator seed, descent/threads, counters) and
-//! an attribution ledger balancing its own `resolutions` column.
-//! Provenance rows are replay metadata, never ratchet material —
-//! `compare` skips them with an explicit report line just like profile
-//! rows (they are not written to snapshots, but a stray append must
-//! never gate).
 
 use bench::{parse_jsonl_row, row_field, JsonValue};
-use obs::{AttributionLedger, Pow2Histogram};
 
 /// The skew400 gate row: skew triangle at m = 400 (N = 3·(2·400+1) = 2403).
 const GATE_N: f64 = 2403.0;
@@ -87,7 +45,6 @@ enum Gate {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (mut paths, mut max_ratio, mut gate) = (Vec::new(), 2.0f64, Gate::Skew400);
-    let (mut profile_mode, mut chrome_mode, mut provenance_mode) = (false, false, false);
     let mut it = args.iter();
     while let Some(a) = it.next() {
         if a == "--max-ratio" {
@@ -101,52 +58,14 @@ fn main() {
                 Some("t2-graphs") => Gate::T2Graphs,
                 other => panic!("--gate must be skew400 or t2-graphs, got {other:?}"),
             };
-        } else if a == "--check-profile" {
-            profile_mode = true;
-        } else if a == "--check-chrome" {
-            chrome_mode = true;
-        } else if a == "--check-provenance" {
-            provenance_mode = true;
         } else {
             paths.push(a.clone());
         }
     }
-    let check_modes = [
-        (profile_mode, "--check-profile"),
-        (chrome_mode, "--check-chrome"),
-        (provenance_mode, "--check-provenance"),
-    ];
-    if let Some((_, flag)) = check_modes.iter().find(|(on, _)| *on) {
-        if paths.len() != 1 || check_modes.iter().filter(|(on, _)| *on).count() != 1 {
-            eprintln!("usage: bench_compare {flag} <file>");
-            std::process::exit(2);
-        }
-        let result = if chrome_mode {
-            let path = &paths[0];
-            let text =
-                std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-            check_chrome(&text)
-        } else if provenance_mode {
-            check_provenance(&load(&paths[0]))
-        } else {
-            check_profile(&load(&paths[0]))
-        };
-        match result {
-            Ok(report) => println!("{report}"),
-            Err(report) => {
-                eprintln!("{report}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
     if paths.len() != 2 {
         eprintln!(
             "usage: bench_compare <baseline.jsonl> <candidate.jsonl> \
-             [--max-ratio R] [--gate skew400|t2-graphs] | \
-             bench_compare --check-profile <profile.jsonl> | \
-             bench_compare --check-chrome <trace.json> | \
-             bench_compare --check-provenance <provenance.jsonl>"
+             [--max-ratio R] [--gate skew400|t2-graphs]"
         );
         std::process::exit(2);
     }
@@ -229,26 +148,6 @@ fn is_t2_gate(row: &Row) -> bool {
         && row_field(row, "edges").and_then(|v| v.as_num()) >= Some(T2_GATE_EDGES)
 }
 
-/// Profile rows (experiment `*-profile`): metrics-on ledger evidence
-/// whose wall and counter cells must never be ratcheted — see the module
-/// docs and [`check_profile`].
-fn is_profile_row(row: &Row) -> bool {
-    row_field(row, "experiment")
-        .and_then(|v| v.as_str())
-        .is_some_and(|e| e.ends_with("-profile"))
-}
-
-/// Provenance rows (experiment `*-provenance`): replayable run records
-/// from `t2_graphs --provenance`. They are written to their own file,
-/// never to the snapshot — but a stray append must never gate, so
-/// `compare` skips them explicitly (they also lack the `N` column, so
-/// this is belt and suspenders over the key() skip).
-fn is_provenance_row(row: &Row) -> bool {
-    row_field(row, "experiment")
-        .and_then(|v| v.as_str())
-        .is_some_and(|e| e.ends_with("-provenance"))
-}
-
 /// Pure comparison logic (unit-tested below): `Ok(report)` when the gate
 /// holds, `Err(report)` when it fails.
 fn compare(
@@ -261,26 +160,7 @@ fn compare(
     let mut gate_checked = false;
     let mut failures = Vec::new();
     for brow in baseline {
-        if is_provenance_row(brow) {
-            report.push_str(
-                "provenance row — replay metadata, checked by --check-provenance, \
-                 not ratcheted\n",
-            );
-            continue;
-        }
         let Some(bkey) = key(brow) else { continue };
-        // Skipped *before* the candidate lookup, so a profile experiment
-        // present on only one side (older snapshots predate them) is
-        // skipped identically to one present on both — an explicit
-        // report line, never a failure (the null-RSS semantics).
-        if is_profile_row(brow) {
-            report.push_str(&format!(
-                "{:<28} N={:<8} profile row — ledger-checked by --check-profile, \
-                 not ratcheted\n",
-                bkey.0, bkey.1
-            ));
-            continue;
-        }
         let Some(crow) = candidate.iter().find(|c| key(c).as_ref() == Some(&bkey)) else {
             continue;
         };
@@ -377,334 +257,6 @@ fn compare(
     }
     if failures.is_empty() {
         Ok(format!("{report}bench_compare: OK (gate ≤ {max_ratio}x)"))
-    } else {
-        Err(format!(
-            "{report}bench_compare: FAIL\n{}",
-            failures.join("\n")
-        ))
-    }
-}
-
-/// A `*_hist` cell parsed back into a histogram. Single-bucket CSVs
-/// (e.g. `"0"` or `"8"`) serialize as JSON numbers, longer ones as
-/// strings — both shapes must parse.
-fn hist_field(row: &Row, key: &str) -> Option<Pow2Histogram> {
-    match row_field(row, key)? {
-        JsonValue::Str(s) => Pow2Histogram::from_csv(s),
-        JsonValue::Num(n) => Pow2Histogram::from_csv(&format!("{}", *n as u64)),
-        JsonValue::Null => None,
-    }
-}
-
-/// Ledger-invariant check over a profile file (`--check-profile`): every
-/// row must balance its histograms against its counters, exactly where
-/// the engine guarantees exactness and within the documented envelope
-/// where scheduling makes counts vary. `Ok(report)` iff every row holds
-/// and at least one row was checked.
-fn check_profile(rows: &[Row]) -> Result<String, String> {
-    let mut report = String::new();
-    let mut checked = 0usize;
-    let mut failures = Vec::new();
-    for row in rows {
-        if !is_profile_row(row) {
-            continue;
-        }
-        let label = key(row).map_or_else(|| "?".to_string(), |k| format!("{} N={}", k.0, k.1));
-        let num = |k: &str| row_field(row, k).and_then(|v| v.as_num());
-        let mut fail = |msg: String| failures.push(format!("{label}: {msg}"));
-        let (Some(resolutions), Some(kb_queries)) = (num("resolutions"), num("kb_queries")) else {
-            fail("missing resolutions/kb_queries columns".to_string());
-            continue;
-        };
-        let threads = num("threads").unwrap_or(1.0);
-        // Histogram totals equal their counter columns — exact in every
-        // mode (each observation site fires once per counted event).
-        for (hist_col, counter_col, counter) in [
-            ("depth_hist", "resolutions", resolutions),
-            ("walk_hist", "kb_queries", kb_queries),
-            ("repair_hist", "repairs", num("repairs").unwrap_or(-1.0)),
-            ("donate_hist", "donations", num("donations").unwrap_or(-1.0)),
-        ] {
-            match hist_field(row, hist_col) {
-                Some(h) => {
-                    if h.total() as f64 != counter {
-                        fail(format!(
-                            "{hist_col} total {} != {counter_col} {counter}",
-                            h.total()
-                        ));
-                    }
-                }
-                None => fail(format!("missing or malformed {hist_col}")),
-            }
-        }
-        let probes = num("advances").unwrap_or(-1.0)
-            + num("repairs").unwrap_or(-1.0)
-            + num("full_walks").unwrap_or(-1.0);
-        if threads == 1.0 {
-            // The sequential ledger-balance wall: every KB query is
-            // answered by exactly one of advance / repair / full walk.
-            if probes != kb_queries {
-                fail(format!(
-                    "sequential probes (advances+repairs+full_walks = {probes}) \
-                     != kb_queries {kb_queries}"
-                ));
-            }
-            if num("donations") != Some(0.0) {
-                fail("sequential row reports donations".to_string());
-            }
-            if num("task_spans") != Some(0.0) {
-                fail("sequential row reports task spans".to_string());
-            }
-        } else {
-            // Parallel probes hit the frozen base and the overlay shard:
-            // at least one and at most two tracked probes per KB query.
-            if probes > 2.0 * kb_queries || probes < kb_queries {
-                fail(format!(
-                    "parallel probes {probes} outside [kb_queries, 2·kb_queries] \
-                     = [{kb_queries}, {}]",
-                    2.0 * kb_queries
-                ));
-            }
-            if num("task_spans").unwrap_or(0.0) < 1.0 {
-                fail("parallel row reports no task spans".to_string());
-            }
-        }
-        // The memory ledger: present, and bytes can't undercut one byte
-        // per node (profile rows are preloaded, so the store is nonempty).
-        match (num("mem_nodes"), num("mem_bytes")) {
-            (Some(nodes), Some(bytes)) if nodes >= 1.0 && bytes >= nodes => {}
-            (Some(nodes), Some(bytes)) => fail(format!(
-                "memory ledger implausible: nodes={nodes} bytes={bytes}"
-            )),
-            _ => fail("missing mem_nodes/mem_bytes columns".to_string()),
-        }
-        // The attribution cell (profiles emitted since the provenance
-        // work carry one; older snapshots are tolerated with a visible
-        // skip line, never a silent pass).
-        match row_field(row, "attr") {
-            Some(_) => {
-                if let Some(attr) = check_attr(row, "repairs", &mut fail) {
-                    let top: Vec<String> = attr
-                        .top_k(3)
-                        .into_iter()
-                        .map(|(i, r)| format!("{}:{}", attr.label(i), r.resolutions))
-                        .collect();
-                    report.push_str(&format!(
-                        "{label:<44} hottest prefixes  {}\n",
-                        if top.is_empty() {
-                            "-".to_string()
-                        } else {
-                            top.join("  ")
-                        }
-                    ));
-                }
-            }
-            None => report.push_str(&format!(
-                "{label:<44} no attr cell (pre-attribution profile) — skipped\n"
-            )),
-        }
-        checked += 1;
-        report.push_str(&format!("{label:<44} ledger balanced\n"));
-    }
-    if checked == 0 {
-        failures.push("no profile rows (experiment *-profile) found".to_string());
-    }
-    if failures.is_empty() {
-        Ok(format!(
-            "{report}bench_compare: OK ({checked} profile rows, all ledger invariants hold)"
-        ))
-    } else {
-        Err(format!(
-            "{report}bench_compare: FAIL\n{}",
-            failures.join("\n")
-        ))
-    }
-}
-
-/// The attribution-ledger invariants shared by profile and provenance
-/// rows: the `attr` cell parses, its per-prefix resolutions sum to the
-/// row's `resolutions` column **exactly** (the attribution site is
-/// adjacent to the resolution counter and worker ledgers merge
-/// losslessly, so this holds in every descent mode and thread count),
-/// re-resolutions never exceed resolutions (each re-derivation
-/// was first a resolution), attributed inserts never exceed
-/// `kb_inserts` (preload bulk builds are deliberately unattributed),
-/// and repair hits never exceed the row's repair counter (a hit is a
-/// repair whose window scan surfaced a containing box). Violations go
-/// through `fail`; the parsed ledger comes back for reporting.
-fn check_attr(
-    row: &Row,
-    repairs_col: &str,
-    fail: &mut dyn FnMut(String),
-) -> Option<AttributionLedger> {
-    let num = |k: &str| row_field(row, k).and_then(|v| v.as_num());
-    let Some(csv) = row_field(row, "attr").and_then(|v| v.as_str()) else {
-        fail("missing attr cell".to_string());
-        return None;
-    };
-    let Some(attr) = AttributionLedger::from_csv(csv) else {
-        fail(format!("malformed attr cell: {csv}"));
-        return None;
-    };
-    match num("resolutions") {
-        Some(res) if attr.resolutions() as f64 == res => {}
-        other => fail(format!(
-            "attr resolutions {} != resolutions column {other:?} \
-             (the prefix sum is exact in every mode)",
-            attr.resolutions()
-        )),
-    }
-    if attr.re_resolutions() > attr.resolutions() {
-        fail(format!(
-            "attr re_resolutions {} exceed attr resolutions {}",
-            attr.re_resolutions(),
-            attr.resolutions()
-        ));
-    }
-    if let Some(kb) = num("kb_inserts") {
-        if attr.inserts() as f64 > kb {
-            fail(format!(
-                "attr inserts {} exceed kb_inserts {kb}",
-                attr.inserts()
-            ));
-        }
-    }
-    if let Some(reps) = num(repairs_col) {
-        if attr.repair_hits() as f64 > reps {
-            fail(format!(
-                "attr repair_hits {} exceed {repairs_col} {reps}",
-                attr.repair_hits()
-            ));
-        }
-    }
-    Some(attr)
-}
-
-/// Well-formedness check over a `t2_graphs --trace-out` file
-/// (`--check-chrome`): a Chrome trace-event JSON array with one event
-/// object per line, each a complete event (`"ph":"X"`) carrying string
-/// `name`/`cat` and numeric `ts`/`dur`/`pid`/`tid` — every line is
-/// re-parsed with the same flat-object parser the snapshots use.
-/// `Ok(report)` iff every event holds and at least one event exists.
-fn check_chrome(text: &str) -> Result<String, String> {
-    let mut failures = Vec::new();
-    let trimmed = text.trim();
-    if !(trimmed.starts_with('[') && trimmed.ends_with(']')) {
-        failures.push("file is not a JSON array".to_string());
-    }
-    let mut events = 0usize;
-    for (i, raw) in text.lines().enumerate() {
-        let line = raw.trim().trim_end_matches(',');
-        if line.is_empty() || line == "[" || line == "]" {
-            continue;
-        }
-        let mut fail = |msg: String| failures.push(format!("line {}: {msg}", i + 1));
-        let Some(ev) = parse_jsonl_row(line) else {
-            fail("not a flat JSON event object".to_string());
-            continue;
-        };
-        events += 1;
-        for f in ["name", "cat", "ph"] {
-            if row_field(&ev, f).and_then(|v| v.as_str()).is_none() {
-                fail(format!("missing string field {f}"));
-            }
-        }
-        match row_field(&ev, "ph").and_then(|v| v.as_str()) {
-            Some("X") | None => {}
-            Some(ph) => fail(format!("ph {ph:?} is not a complete event")),
-        }
-        for f in ["ts", "dur", "pid", "tid"] {
-            if row_field(&ev, f).and_then(|v| v.as_num()).is_none() {
-                fail(format!("missing numeric field {f}"));
-            }
-        }
-    }
-    if events == 0 {
-        failures.push("no trace events found".to_string());
-    }
-    if failures.is_empty() {
-        Ok(format!(
-            "bench_compare: OK ({events} chrome trace events, all well-formed)"
-        ))
-    } else {
-        Err(format!("bench_compare: FAIL\n{}", failures.join("\n")))
-    }
-}
-
-/// Fields a provenance row must carry to replay its run: the workload
-/// half stamped by `t2_graphs` (generator, seed, snapshot) and the
-/// config + counter-ledger half stamped by `plan::PlanRun::provenance`.
-/// Older rows may also carry the removed `backend`/`shards` fields; extra
-/// fields never fail a row.
-const REPLAY_FIELDS: [&str; 19] = [
-    "graph",
-    "edges",
-    "seed",
-    "snapshot",
-    "query",
-    "sao",
-    "width",
-    "input_tuples",
-    "descent",
-    "threads",
-    "preload",
-    "obs",
-    "preload_s",
-    "solve_s",
-    "resolutions",
-    "kb_queries",
-    "kb_inserts",
-    "outputs",
-    "attr",
-];
-
-/// Replay-record check over a `t2_graphs --provenance` file
-/// (`--check-provenance`): every row must identify itself as
-/// `t2-provenance`, carry all [`REPLAY_FIELDS`], and its attribution
-/// ledger must balance its own counter columns (provenance sweeps
-/// always run with the observer on, so the cell is mandatory here —
-/// unlike profiles). `Ok(report)` iff every row holds and at least one
-/// row was checked.
-fn check_provenance(rows: &[Row]) -> Result<String, String> {
-    let mut report = String::new();
-    let mut checked = 0usize;
-    let mut failures = Vec::new();
-    for (i, row) in rows.iter().enumerate() {
-        let s = |k: &str| {
-            row_field(row, k)
-                .and_then(|v| v.as_str())
-                .unwrap_or("?")
-                .to_string()
-        };
-        let n = |k: &str| row_field(row, k).and_then(|v| v.as_num()).unwrap_or(0.0);
-        let label = format!(
-            "row {} {}/{} t{}",
-            i + 1,
-            s("query"),
-            s("graph"),
-            n("threads"),
-        );
-        let mut fail = |msg: String| failures.push(format!("{label}: {msg}"));
-        if row_field(row, "experiment").and_then(|v| v.as_str()) != Some("t2-provenance") {
-            fail("experiment is not t2-provenance".to_string());
-            continue;
-        }
-        for f in REPLAY_FIELDS {
-            if row_field(row, f).is_none() {
-                fail(format!("missing replay field {f}"));
-            }
-        }
-        check_attr(row, "probe_repairs", &mut fail);
-        checked += 1;
-        report.push_str(&format!("{label:<44} replayable\n"));
-    }
-    if checked == 0 {
-        failures.push("no t2-provenance rows found".to_string());
-    }
-    if failures.is_empty() {
-        Ok(format!(
-            "{report}bench_compare: OK ({checked} provenance rows, all replayable)"
-        ))
     } else {
         Err(format!(
             "{report}bench_compare: FAIL\n{}",
@@ -976,244 +528,5 @@ mod tests {
         );
         let err = compare(&rows(T2_BASE), &cand, 2.0, Gate::T2Graphs).unwrap_err();
         assert!(err.contains("missing"), "{err}");
-    }
-
-    /// A balanced sequential profile row and a balanced parallel one,
-    /// both carrying balanced attribution cells (Σ prefix resolutions
-    /// == resolutions, inserts ≤ kb_inserts, repair hits ≤ repairs).
-    const PROFILE_OK: &str = r#"
-{"experiment":"t2-profile","query":"triangle","graph":"skewed","threads":1,"edges":100000,"N":300000,"preload_s":0.5,"solve_s":1.0,"task_spans":0,"task_secs":0,"resolutions":4,"kb_queries":8,"kb_inserts":5,"advances":5,"repairs":2,"full_walks":1,"donations":0,"depth_hist":"0,1,3","walk_hist":"4,2,2","repair_hist":"0,2","donate_hist":0,"mem_nodes":10,"mem_bytes":160,"mem_depth":5,"attr":"k8|3:2,1,2,0|s:2,0,1,1"}
-{"experiment":"t2-profile","query":"triangle","graph":"skewed","threads":4,"edges":100000,"N":300000,"preload_s":0.5,"solve_s":0.4,"task_spans":3,"task_secs":0.9,"resolutions":4,"kb_queries":8,"kb_inserts":5,"advances":9,"repairs":0,"full_walks":2,"donations":2,"depth_hist":"0,1,3","walk_hist":"4,2,2","repair_hist":0,"donate_hist":2,"mem_nodes":10,"mem_bytes":160,"mem_depth":5,"attr":"k8|7:4,1,3,0"}
-"#;
-
-    #[test]
-    fn check_profile_passes_on_balanced_rows() {
-        let report = check_profile(&rows(PROFILE_OK)).unwrap();
-        assert!(report.contains("2 profile rows"), "{report}");
-        // Sequential and parallel rows key apart via the threads column.
-        assert!(report.contains("t2-profile:skewed:t1"), "{report}");
-        assert!(report.contains("t2-profile:skewed:t4"), "{report}");
-        // The attribution report names each row's hottest prefixes, in
-        // k-bit label form, hottest first.
-        assert!(report.contains("hottest prefixes"), "{report}");
-        assert!(report.contains("00000011:2"), "{report}");
-        assert!(report.contains("short:2"), "{report}");
-        assert!(report.contains("00000111:4"), "{report}");
-    }
-
-    #[test]
-    fn check_profile_fails_on_unbalanced_or_malformed_attr() {
-        // Prefix resolutions sum to 3 but the counter column says 4.
-        let unbalanced = rows(
-            r#"{"experiment":"t2-profile","graph":"skewed","threads":1,"N":300000,"resolutions":4,"kb_queries":8,"kb_inserts":5,"advances":5,"repairs":2,"full_walks":1,"donations":0,"depth_hist":"0,1,3","walk_hist":"4,2,2","repair_hist":"0,2","donate_hist":0,"mem_nodes":10,"mem_bytes":160,"attr":"k8|3:2,0,2,0|s:1,0,1,0"}"#,
-        );
-        let err = check_profile(&unbalanced).unwrap_err();
-        assert!(err.contains("attr resolutions 3"), "{err}");
-        // A cell that does not parse is a failure, not a silent skip.
-        let malformed = rows(
-            r#"{"experiment":"t2-profile","graph":"skewed","threads":1,"N":300000,"resolutions":4,"kb_queries":8,"advances":5,"repairs":2,"full_walks":1,"donations":0,"depth_hist":"0,1,3","walk_hist":"4,2,2","repair_hist":"0,2","donate_hist":0,"mem_nodes":10,"mem_bytes":160,"attr":"q9|nope"}"#,
-        );
-        let err = check_profile(&malformed).unwrap_err();
-        assert!(err.contains("malformed attr cell"), "{err}");
-        // Companion counters are bounded by their engine columns.
-        let excess = rows(
-            r#"{"experiment":"t2-profile","graph":"skewed","threads":1,"N":300000,"resolutions":4,"kb_queries":8,"kb_inserts":2,"advances":5,"repairs":1,"full_walks":2,"donations":0,"depth_hist":"0,1,3","walk_hist":"4,2,2","repair_hist":"0,1","donate_hist":0,"mem_nodes":10,"mem_bytes":160,"attr":"k8|3:4,0,3,2"}"#,
-        );
-        let err = check_profile(&excess).unwrap_err();
-        assert!(err.contains("attr inserts 3 exceed kb_inserts 2"), "{err}");
-        assert!(err.contains("attr repair_hits 2 exceed repairs 1"), "{err}");
-    }
-
-    #[test]
-    fn check_profile_tolerates_missing_attr_with_a_visible_skip() {
-        // Pre-attribution profile rows (older snapshots) have no attr
-        // cell: the row still ledger-checks, and the report says the
-        // attribution was skipped rather than silently passing.
-        let old = rows(
-            r#"{"experiment":"t2-profile","graph":"skewed","threads":1,"N":300000,"task_spans":0,"resolutions":4,"kb_queries":8,"advances":5,"repairs":2,"full_walks":1,"donations":0,"depth_hist":"0,1,3","walk_hist":"4,2,2","repair_hist":"0,2","donate_hist":0,"mem_nodes":10,"mem_bytes":160}"#,
-        );
-        let report = check_profile(&old).unwrap();
-        assert!(report.contains("no attr cell"), "{report}");
-    }
-
-    #[test]
-    fn check_profile_fails_on_histogram_counter_mismatch() {
-        // depth_hist totals 3 but resolutions says 4.
-        let bad = rows(
-            r#"{"experiment":"t2-profile","graph":"skewed","threads":1,"N":300000,"resolutions":4,"kb_queries":8,"advances":5,"repairs":2,"full_walks":1,"donations":0,"depth_hist":"0,1,2","walk_hist":"4,2,2","repair_hist":"0,2","donate_hist":0,"mem_nodes":10,"mem_bytes":160}"#,
-        );
-        let err = check_profile(&bad).unwrap_err();
-        assert!(err.contains("depth_hist total 3 != resolutions 4"), "{err}");
-    }
-
-    #[test]
-    fn check_profile_fails_on_sequential_probe_imbalance() {
-        // advances+repairs+full_walks = 7 != kb_queries = 8.
-        let bad = rows(
-            r#"{"experiment":"t2-profile","graph":"skewed","threads":1,"N":300000,"resolutions":4,"kb_queries":8,"advances":4,"repairs":2,"full_walks":1,"donations":0,"depth_hist":"0,1,3","walk_hist":"4,2,2","repair_hist":"0,2","donate_hist":0,"mem_nodes":10,"mem_bytes":160}"#,
-        );
-        let err = check_profile(&bad).unwrap_err();
-        assert!(err.contains("!= kb_queries"), "{err}");
-    }
-
-    #[test]
-    fn check_profile_holds_old_sharded_rows_to_exact_balance() {
-        // A sequential row from an older snapshot that still carries a
-        // `shards` column gets no slack: a 7-probe deficit fails exactly
-        // like it does on a fresh row, and so does a surplus.
-        for probes in [r#""advances":4"#, r#""advances":7"#] {
-            let row = rows(&format!(
-                r#"{{"experiment":"t2-profile","graph":"skewed","threads":1,"shards":4,"N":300000,"task_spans":0,"resolutions":4,"kb_queries":8,{probes},"repairs":2,"full_walks":1,"donations":0,"depth_hist":"0,1,3","walk_hist":"4,2,2","repair_hist":"0,2","donate_hist":0,"mem_nodes":10,"mem_bytes":160}}"#
-            ));
-            let err = check_profile(&row).unwrap_err();
-            assert!(err.contains("!= kb_queries 8"), "{err}");
-        }
-    }
-
-    #[test]
-    fn check_profile_bounds_parallel_probes_and_requires_task_spans() {
-        // 17 probes > 2 × 8 kb_queries, and no task spans recorded.
-        let bad = rows(
-            r#"{"experiment":"t2-profile","graph":"skewed","threads":4,"N":300000,"task_spans":0,"resolutions":4,"kb_queries":8,"advances":15,"repairs":0,"full_walks":2,"donations":0,"depth_hist":"0,1,3","walk_hist":"4,2,2","repair_hist":0,"donate_hist":0,"mem_nodes":10,"mem_bytes":160}"#,
-        );
-        let err = check_profile(&bad).unwrap_err();
-        assert!(err.contains("outside [kb_queries"), "{err}");
-        assert!(err.contains("no task spans"), "{err}");
-    }
-
-    #[test]
-    fn check_profile_requires_at_least_one_row() {
-        // Non-profile rows don't count.
-        let err = check_profile(&rows(T2_BASE)).unwrap_err();
-        assert!(err.contains("no profile rows"), "{err}");
-    }
-
-    #[test]
-    fn profile_rows_are_skipped_not_ratcheted() {
-        // A profile row 10x slower with grown "resolutions" (metrics-on,
-        // scheduling-dependent) must not fail the gate — it is skipped
-        // with a report line, like a null-RSS reading. The t2-graphs row
-        // still gates normally.
-        let base = rows(
-            r#"
-{"experiment":"t2-graphs","graph":"skewed","edges":100000,"N":300000,"triangles":421,"tetris_s":1.5,"resolutions":900000}
-{"experiment":"t2-profile","graph":"skewed","threads":4,"edges":100000,"N":300000,"tetris_s":1.5,"resolutions":900000}
-"#,
-        );
-        let cand = rows(
-            r#"
-{"experiment":"t2-graphs","graph":"skewed","edges":100000,"N":300000,"triangles":421,"tetris_s":1.4,"resolutions":900000}
-{"experiment":"t2-profile","graph":"skewed","threads":4,"edges":100000,"N":300000,"tetris_s":15.0,"resolutions":950000}
-"#,
-        );
-        let report = compare(&base, &cand, 2.0, Gate::T2Graphs).unwrap();
-        assert!(report.contains("not ratcheted"), "{report}");
-        // Same when the candidate predates profile rows entirely (the
-        // skip happens before the candidate lookup).
-        let old_cand = rows(
-            r#"{"experiment":"t2-graphs","graph":"skewed","edges":100000,"N":300000,"triangles":421,"tetris_s":1.4,"resolutions":900000}"#,
-        );
-        let report = compare(&base, &old_cand, 2.0, Gate::T2Graphs).unwrap();
-        assert!(report.contains("not ratcheted"), "{report}");
-    }
-
-    #[test]
-    fn provenance_rows_are_skipped_not_ratcheted() {
-        // A stray provenance append (replay metadata, not a benchmark)
-        // must never gate — skipped with a visible line, and the real
-        // t2-graphs row still gates normally.
-        let base = rows(
-            r#"
-{"experiment":"t2-graphs","graph":"skewed","edges":100000,"N":300000,"triangles":421,"tetris_s":1.5,"resolutions":900000}
-{"experiment":"t2-provenance","graph":"skewed","edges":100000,"seed":48879,"query":"triangle","backend":"binary","threads":1,"resolutions":900000}
-"#,
-        );
-        let cand = rows(
-            r#"{"experiment":"t2-graphs","graph":"skewed","edges":100000,"N":300000,"triangles":421,"tetris_s":1.4,"resolutions":900000}"#,
-        );
-        let report = compare(&base, &cand, 2.0, Gate::T2Graphs).unwrap();
-        assert!(report.contains("replay metadata"), "{report}");
-    }
-
-    #[test]
-    fn check_chrome_accepts_the_exporters_output() {
-        // Round-trip: build a trace through obs::chrome and verify the
-        // emitted JSON with the same parser CI uses (pins the
-        // one-event-per-line contract the obs module documents).
-        use obs::{chrome::ChromeTrace, Ledger, ObsSink, Phase};
-        let mut l = Ledger::new();
-        l.record_span(Phase::Preload, 0.25);
-        l.record_span(Phase::Solve, 1.5);
-        l.record_span(Phase::Task, 0.75);
-        let mut ct = ChromeTrace::new();
-        ct.push_run("triangle/skewed/binaryx1t2@100000", &l, 1);
-        let report = check_chrome(&ct.to_json()).unwrap();
-        assert!(report.contains("3 chrome trace events"), "{report}");
-    }
-
-    #[test]
-    fn check_chrome_fails_on_malformed_or_empty_traces() {
-        // An empty array is loadable but useless — a traced sweep that
-        // recorded nothing is a failure, not a pass.
-        let err = check_chrome("[\n]\n").unwrap_err();
-        assert!(err.contains("no trace events"), "{err}");
-        // A non-complete phase or a missing lane field fails by line.
-        let err = check_chrome(
-            "[\n{\"name\":\"a\",\"cat\":\"phase\",\"ph\":\"B\",\"ts\":0,\"dur\":1,\"pid\":1,\"tid\":0},\n{\"name\":\"b\",\"cat\":\"phase\",\"ph\":\"X\",\"ts\":0,\"pid\":1,\"tid\":0}\n]\n",
-        )
-        .unwrap_err();
-        assert!(
-            err.contains("line 2") && err.contains("not a complete event"),
-            "{err}"
-        );
-        assert!(
-            err.contains("line 3") && err.contains("missing numeric field dur"),
-            "{err}"
-        );
-        // Not an array at all.
-        let err = check_chrome("{\"name\":\"a\"}\n").unwrap_err();
-        assert!(err.contains("not a JSON array"), "{err}");
-    }
-
-    /// A replayable provenance row: every [`REPLAY_FIELDS`] entry plus a
-    /// balanced attribution cell.
-    const PROVENANCE_OK: &str = r#"
-{"experiment":"t2-provenance","graph":"skewed","edges":100000,"seed":48879,"snapshot":"-","query":"triangle","sao":"A,B,C","width":20,"input_tuples":300000,"descent":"incremental","threads":1,"preload":1,"obs":"true","preload_s":0.5,"solve_s":1.0,"resolutions":4,"kb_queries":8,"kb_inserts":5,"probe_repairs":2,"outputs":421,"attr":"k8|3:2,1,2,0|s:2,0,1,1"}
-"#;
-
-    #[test]
-    fn check_provenance_passes_on_replayable_rows() {
-        let report = check_provenance(&rows(PROVENANCE_OK)).unwrap();
-        assert!(report.contains("1 provenance rows"), "{report}");
-        assert!(report.contains("triangle/skewed t1"), "{report}");
-        // Older rows still carrying the removed backend/shards fields
-        // stay replayable.
-        let old = rows(&PROVENANCE_OK.replace(
-            "\"descent\"",
-            "\"backend\":\"binary\",\"shards\":1,\"descent\"",
-        ));
-        assert!(row_field(&old[0], "backend").is_some());
-        assert!(check_provenance(&old).is_ok());
-    }
-
-    #[test]
-    fn check_provenance_fails_on_missing_fields_or_unbalanced_attr() {
-        // Strip the generator seed: the run is no longer replayable.
-        let no_seed = rows(&PROVENANCE_OK.replace("\"seed\":48879,", ""));
-        let err = check_provenance(&no_seed).unwrap_err();
-        assert!(err.contains("missing replay field seed"), "{err}");
-        // Unlike profiles, provenance sweeps always run with the
-        // observer on — a missing attr cell is a failure here.
-        let no_attr = rows(&PROVENANCE_OK.replace(",\"attr\":\"k8|3:2,1,2,0|s:2,0,1,1\"", ""));
-        let err = check_provenance(&no_attr).unwrap_err();
-        assert!(err.contains("missing replay field attr"), "{err}");
-        assert!(err.contains("missing attr cell"), "{err}");
-        // An attribution ledger that does not balance its own counters.
-        let unbalanced = rows(&PROVENANCE_OK.replace("\"resolutions\":4", "\"resolutions\":5"));
-        let err = check_provenance(&unbalanced).unwrap_err();
-        assert!(err.contains("attr resolutions 4"), "{err}");
-        // A file of non-provenance rows has nothing to certify.
-        let err = check_provenance(&rows(T2_BASE)).unwrap_err();
-        assert!(err.contains("experiment is not t2-provenance"), "{err}");
     }
 }

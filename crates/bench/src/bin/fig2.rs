@@ -12,24 +12,31 @@ use tetris_core::{balance::TetrisLB, Descent, Tetris};
 use tetris_join::prepared::PreparedJoin;
 use workload::{bcp, cycles, paths, triangle};
 
+/// The experiments `main` can run, in the order `all` runs them.
+const EXPERIMENTS: [(&str, fn()); 5] = [
+    ("f2-tree-agm", f2_tree_agm),
+    ("f2-tree-cache", f2_tree_cache),
+    ("f2-lb-separation", f2_lb_separation),
+    ("f2-ordered-tww", f2_ordered_tww),
+    ("f2-general-tight", f2_general_tight),
+];
+
 fn main() {
     let arg = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
-    let all = arg == "all";
+    let chosen: Vec<fn()> = EXPERIMENTS
+        .iter()
+        .filter(|(name, _)| arg == "all" || arg == *name)
+        .map(|&(_, run)| run)
+        .collect();
+    if chosen.is_empty() {
+        let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+        eprintln!("fig2: unknown experiment {arg:?}");
+        eprintln!("usage: fig2 [all|{}]", names.join("|"));
+        std::process::exit(2);
+    }
     println!("== Figure 2 reproduction: resolution-class separations ==\n");
-    if all || arg == "f2-tree-agm" {
-        f2_tree_agm();
-    }
-    if all || arg == "f2-tree-cache" {
-        f2_tree_cache();
-    }
-    if all || arg == "f2-lb-separation" {
-        f2_lb_separation();
-    }
-    if all || arg == "f2-ordered-tww" {
-        f2_ordered_tww();
-    }
-    if all || arg == "f2-general-tight" {
-        f2_general_tight();
+    for run in chosen {
+        run();
     }
 }
 

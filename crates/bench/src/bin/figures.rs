@@ -11,17 +11,28 @@ use relation::{DyadicTreeIndex, Relation, Schema, TrieIndex};
 use tetris_core::{Tetris, TraceEvent};
 use workload::{bcp, triangle};
 
+/// The experiments `main` can run, in the order `all` runs them.
+const EXPERIMENTS: [(&str, fn()); 3] = [
+    ("gaps", figures_1_3_4),
+    ("msb", figures_5_6),
+    ("trace", figure_10_trace),
+];
+
 fn main() {
     let arg = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
-    let all = arg == "all";
-    if all || arg == "gaps" {
-        figures_1_3_4();
+    let chosen: Vec<fn()> = EXPERIMENTS
+        .iter()
+        .filter(|(name, _)| arg == "all" || arg == *name)
+        .map(|&(_, run)| run)
+        .collect();
+    if chosen.is_empty() {
+        let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+        eprintln!("figures: unknown experiment {arg:?}");
+        eprintln!("usage: figures [all|{}]", names.join("|"));
+        std::process::exit(2);
     }
-    if all || arg == "msb" {
-        figures_5_6();
-    }
-    if all || arg == "trace" {
-        figure_10_trace();
+    for run in chosen {
+        run();
     }
 }
 

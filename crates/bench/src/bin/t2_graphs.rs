@@ -13,31 +13,18 @@
 //! Usage:
 //! `cargo run --release -p bench --bin t2_graphs [-- <tier>]
 //!  [--query L] [--threads L] [--seed S]`
-//! where `<tier>` is `smoke` (10⁵ edges — the CI graph-smoke job), `full`
-//! (10⁴ + 10⁵, the snapshot tier, default), `big` (adds the 10⁶-edge
-//! skewed instance), or an explicit edge count; `--query` is a
-//! comma-separated query sweep over `triangle,4-cycle,4-clique,lw3`
+//! where `<tier>` is `smoke` (10⁵ edges — the CI `parallel-smoke` and
+//! `query-zoo` jobs), `full` (10⁴ + 10⁵, the snapshot tier, default),
+//! `big` (adds the 10⁶-edge skewed instance), or an explicit edge count;
+//! `--query` is a comma-separated query sweep over `triangle,4-cycle,4-clique,lw3`
 //! (default `triangle`; `all` runs the whole zoo); `--threads` is a
 //! comma-separated worker sweep (default `1,4`; `1` runs the sequential
 //! incremental engine, `N > 1` runs `Descent::Parallel { threads: N }`);
 //! `--seed` overrides every generator's fixed seed, so a
-//! differential failure found elsewhere can be replayed at bench scale;
-//! `--profile <path>` turns on `TetrisConfig::obs` for every sweep run
-//! and writes one `t2-profile` JSONL row per sweep row to `<path>` (and
-//! appends the same rows to `$TETRIS_BENCH_JSONL`): per-phase spans,
-//! the four engine histograms as CSV cells, and the knowledge base's
-//! `mem_stats` ledger — parsed back by `bench_compare --check-profile`.
-//! Metrics-on runs pay the (small, measured — EXPERIMENTS.md §12)
-//! observation overhead, so snapshot wall-time rows are regenerated
-//! *without* `--profile`. `--trace-out <path>` writes a Chrome
-//! trace-event JSON file (Perfetto / `chrome://tracing` loadable) with
-//! one process lane per sweep run — phase spans on thread 0, sampled
-//! task frames on thread 1; `--provenance <path>` writes one replayable
-//! `t2-provenance` JSONL row per sweep run (full `TetrisConfig`,
-//! generator seed and parameters, every counter, the attribution
-//! ledger, and the snapshot path) — validated in CI by `bench_compare
-//! --check-provenance`. Either flag turns `TetrisConfig::obs` on for
-//! the sweep, exactly like `--profile`.
+//! differential failure found elsewhere can be replayed at bench scale.
+//! Sweeps run with metrics off (`TetrisConfig::obs` unset), like the
+//! snapshot rows they are gated against; per-layer metrics come from
+//! `tetris_bench --trace 1`.
 //!
 //! Every row asserts `tetris == leapfrog == ground truth` and the sweep
 //! asserts every thread count's listing is **bit-identical** to the
@@ -62,69 +49,11 @@ use workload::loomis;
 const GRAPH_QUERIES: [&str; 3] = ["triangle", "4-cycle", "4-clique"];
 const ALL_QUERIES: [&str; 4] = ["triangle", "4-cycle", "4-clique", "lw3"];
 
-/// Columns of a `--profile` row (experiment `t2-profile`, one row per
-/// sweep row). The `*_hist` cells are `Pow2Histogram::to_csv` strings
-/// and `attr` is an `AttributionLedger::to_csv` string;
-/// `bench_compare --check-profile` parses them back and asserts the
-/// ledger-balance invariants against the counter columns.
-const PROFILE_COLS: [&str; 25] = [
-    "experiment",
-    "query",
-    "graph",
-    "threads",
-    "edges",
-    "N",
-    "preload_s",
-    "solve_s",
-    "task_spans",
-    "task_secs",
-    "resolutions",
-    "kb_queries",
-    "kb_inserts",
-    "advances",
-    "repairs",
-    "full_walks",
-    "donations",
-    "depth_hist",
-    "walk_hist",
-    "repair_hist",
-    "donate_hist",
-    "attr",
-    "mem_nodes",
-    "mem_bytes",
-    "mem_depth",
-];
-
 struct Args {
     tier: String,
     queries: Vec<String>,
     threads: Vec<usize>,
     seed: Option<u64>,
-    profile: Option<String>,
-    trace_out: Option<String>,
-    provenance: Option<String>,
-}
-
-/// Optional per-sweep output sinks beyond the wall table. Any of them
-/// being active turns `TetrisConfig::obs` on for every sweep run (the
-/// chrome lanes and provenance ledgers are read from the run's merged
-/// `Ledger`), so snapshot wall rows are regenerated with all three off.
-struct Sinks {
-    profile: Option<Table>,
-    chrome: Option<obs::chrome::ChromeTrace>,
-    /// Built lazily on the first record — its columns are the provenance
-    /// field names the `plan` crate emits, so the bin never hardcodes
-    /// them; `provenance_on` carries the request until then.
-    provenance: Option<Table>,
-    provenance_on: bool,
-    /// Sweep-run counter — each run gets its own chrome pid lane.
-    runs: u64,
-}
-
-impl Sinks {
-    fn obs_on(&self) -> bool {
-        self.profile.is_some() || self.chrome.is_some() || self.provenance_on
-    }
 }
 
 fn parse_args() -> Args {
@@ -133,9 +62,6 @@ fn parse_args() -> Args {
         queries: vec!["triangle".to_string()],
         threads: vec![1, 4],
         seed: None,
-        profile: None,
-        trace_out: None,
-        provenance: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -174,21 +100,6 @@ fn parse_args() -> Args {
                         .unwrap_or_else(|_| usage(&format!("bad seed {s:?} (expected a u64)"))),
                 );
             }
-            "--profile" => {
-                args.profile = Some(it.next().unwrap_or_else(|| usage("--profile needs a path")));
-            }
-            "--trace-out" => {
-                args.trace_out = Some(
-                    it.next()
-                        .unwrap_or_else(|| usage("--trace-out needs a path")),
-                );
-            }
-            "--provenance" => {
-                args.provenance = Some(
-                    it.next()
-                        .unwrap_or_else(|| usage("--provenance needs a path")),
-                );
-            }
             other if !other.starts_with('-') => args.tier = other.to_string(),
             other => usage(&format!("unknown flag {other:?}")),
         }
@@ -200,8 +111,7 @@ fn usage(msg: &str) -> ! {
     eprintln!("t2_graphs: {msg}");
     eprintln!(
         "usage: t2_graphs [smoke|full|big|<edge count>] [--query triangle,4-cycle,4-clique,lw3] \
-         [--threads 1,4,...] [--seed S] \
-         [--profile <path>] [--trace-out <path>] [--provenance <path>]"
+         [--threads 1,4,...] [--seed S]"
     );
     std::process::exit(2);
 }
@@ -237,13 +147,6 @@ fn main() {
         "load_s",
         "peak_rss_mb",
     ]);
-    let mut sinks = Sinks {
-        profile: args.profile.as_ref().map(|_| Table::new(&PROFILE_COLS)),
-        chrome: args.trace_out.as_ref().map(|_| Default::default()),
-        provenance: None,
-        provenance_on: args.provenance.is_some(),
-        runs: 0,
-    };
     let graph_queries: Vec<&str> = args
         .queries
         .iter()
@@ -252,7 +155,7 @@ fn main() {
         .collect();
     for &edges in &edge_tiers {
         if args.queries.iter().any(|q| q == "lw3") {
-            run_lw3_row(&mut table, &mut sinks, edges, args.seed, &args.threads);
+            run_lw3_row(&mut table, edges, args.seed, &args.threads);
             eprintln!("  done: lw3 @ {edges} tuples/atom");
         }
         if graph_queries.is_empty() {
@@ -266,53 +169,16 @@ fn main() {
                 continue;
             }
             let g = generate(kind, edges, args.seed);
-            roundtrip_loader(kind, &g, &mut table, &mut sinks, &graph_queries, &args);
+            roundtrip_loader(kind, &g, &mut table, &graph_queries, &args.threads);
             eprintln!("  done: {kind} @ {edges} edges");
         }
     }
     table.export("t2-graphs");
-    if let (Some(path), Some(pt)) = (&args.profile, &sinks.profile) {
-        // The profile table carries its own `experiment` column, so the
-        // file is self-describing; the same rows are appended verbatim
-        // to $TETRIS_BENCH_JSONL (not via Table::export, which would
-        // prepend a second experiment column).
-        std::fs::write(path, pt.to_jsonl()).unwrap_or_else(|e| panic!("write {path}: {e}"));
-        if let Ok(snap) = std::env::var("TETRIS_BENCH_JSONL") {
-            use std::io::Write;
-            let mut f = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&snap)
-                .unwrap_or_else(|e| panic!("append {snap}: {e}"));
-            f.write_all(pt.to_jsonl().as_bytes())
-                .unwrap_or_else(|e| panic!("append {snap}: {e}"));
-        }
-        println!("profile rows (experiment t2-profile) -> {path}");
-    }
-    if let (Some(path), Some(ct)) = (&args.trace_out, &sinks.chrome) {
-        // Chrome trace-event JSON (array flavour) — load in Perfetto or
-        // chrome://tracing. One pid lane per sweep run.
-        std::fs::write(path, ct.to_json()).unwrap_or_else(|e| panic!("write {path}: {e}"));
-        println!(
-            "chrome trace ({} events over {} runs) -> {path}",
-            ct.events().len(),
-            sinks.runs
-        );
-    }
-    if let (Some(path), Some(pv)) = (&args.provenance, &sinks.provenance) {
-        // Replayable run records (experiment t2-provenance). Written to
-        // the requested path only — never appended to the snapshot, so
-        // the ratchet never sees them; `bench_compare --check-provenance`
-        // validates the file in CI.
-        std::fs::write(path, pv.to_jsonl()).unwrap_or_else(|e| panic!("write {path}: {e}"));
-        println!("provenance rows (experiment t2-provenance) -> {path}");
-    }
     println!("{}", table.render());
     println!("all rows: tetris == leapfrog == ground truth ✓ (all queries × threads)");
 }
 
-/// The fixed per-family generator seed (`--seed` overrides) — recorded
-/// in every provenance row so a run can be replayed exactly.
+/// The fixed per-family generator seed (`--seed` overrides).
 fn default_seed(kind: &str) -> u64 {
     match kind {
         "random" => 0xC0FFEE,
@@ -336,14 +202,7 @@ fn generate(kind: &str, edges: usize, seed: Option<u64>) -> Graph {
 
 /// Round-trip the graph through the streaming on-disk loader (timed once
 /// per instance), then run every requested graph query on it.
-fn roundtrip_loader(
-    kind: &str,
-    g: &Graph,
-    table: &mut Table,
-    sinks: &mut Sinks,
-    queries: &[&str],
-    args: &Args,
-) {
+fn roundtrip_loader(kind: &str, g: &Graph, table: &mut Table, queries: &[&str], threads: &[usize]) {
     // Pid-qualified so concurrent sweeps (CI + a developer run) don't
     // race on the same temp file.
     let path = std::env::temp_dir().join(format!(
@@ -377,7 +236,6 @@ fn roundtrip_loader(
         .prepare();
         run_sweep(
             table,
-            sinks,
             &prepared,
             RowMeta {
                 query: q,
@@ -387,9 +245,8 @@ fn roundtrip_loader(
                 truth,
                 truth_s,
                 load_s,
-                seed: args.seed.unwrap_or_else(|| default_seed(kind)),
             },
-            &args.threads,
+            threads,
         );
     }
 }
@@ -398,16 +255,10 @@ fn roundtrip_loader(
 /// sized to the tier (`edges` tuples per atom over a `2^⌈⅔·log₂ edges⌉`
 /// domain, so the expected output stays Θ(edges)), verified against the
 /// pairwise hash-join counter.
-fn run_lw3_row(
-    table: &mut Table,
-    sinks: &mut Sinks,
-    edges: usize,
-    seed: Option<u64>,
-    threads: &[usize],
-) {
+fn run_lw3_row(table: &mut Table, edges: usize, seed: Option<u64>, threads: &[usize]) {
     let width = ((2.0 / 3.0) * (edges.max(8) as f64).log2()).ceil() as u8;
-    let eff_seed = seed.unwrap_or_else(|| default_seed("lw-random"));
-    let inst = loomis::random_loomis_whitney(3, edges, width, eff_seed);
+    let seed = seed.unwrap_or_else(|| default_seed("lw-random"));
+    let inst = loomis::random_loomis_whitney(3, edges, width, seed);
     let (truth, truth_s) = time(|| loomis::count_lw3_hash_join(&inst));
     let refs: Vec<&relation::Relation> = inst.rels.iter().collect();
     let prepared = zoo::loomis_whitney(&refs).prepare();
@@ -415,7 +266,6 @@ fn run_lw3_row(
     debug_assert_eq!(n, prepared.input_size());
     run_sweep(
         table,
-        sinks,
         &prepared,
         RowMeta {
             query: "lw3",
@@ -425,7 +275,6 @@ fn run_lw3_row(
             truth,
             truth_s,
             load_s: 0.0,
-            seed: eff_seed,
         },
         threads,
     );
@@ -439,23 +288,15 @@ struct RowMeta<'a> {
     truth: u64,
     truth_s: f64,
     load_s: f64,
-    /// The effective generator seed (family default or `--seed`).
-    seed: u64,
 }
 
 /// The thread-count sweep for one prepared query: every listing must be
 /// bit-identical to the first (and to leapfrog's, which answers the same
-/// plan in the same SAO coordinates). `tetris_s` times the solve only — the engine is built (and the knowledge base preloaded)
-/// outside the clock, exactly as every earlier snapshot
-/// (BENCH_seed…BENCH_pr7) measured it, so rows stay ratchet-comparable
-/// across PRs.
-fn run_sweep(
-    table: &mut Table,
-    sinks: &mut Sinks,
-    prepared: &PreparedQuery,
-    meta: RowMeta<'_>,
-    threads: &[usize],
-) {
+/// plan in the same SAO coordinates). `tetris_s` times the solve only —
+/// the engine is built (and the knowledge base preloaded) outside the
+/// clock, exactly as every snapshot since `BENCH_seed.json` measured
+/// it, so rows stay ratchet-comparable.
+fn run_sweep(table: &mut Table, prepared: &PreparedQuery, meta: RowMeta<'_>, threads: &[usize]) {
     let n = prepared.input_size();
     let (lf, lftj_s) = time(|| prepared.leapfrog().0);
     assert_eq!(
@@ -478,10 +319,6 @@ fn run_sweep(
             } else {
                 Descent::Parallel { threads: t }
             },
-            // Profiled/traced/provenance sweeps run metrics-on; snapshot
-            // wall rows are regenerated with all three sinks off, so the
-            // ratchet never compares on against off.
-            obs: sinks.obs_on(),
             ..Default::default()
         };
         let run = prepared.execute(cfg);
@@ -541,62 +378,5 @@ fn run_sweep(
             // for such rows.
             peak_rss_bytes().map_or("null".to_string(), |b| fmt_f(b as f64 / (1024.0 * 1024.0))),
         ]);
-        sinks.runs += 1;
-        if let Some(pt) = &mut sinks.profile {
-            let l = out.obs.as_ref().expect("profile sweeps run with obs on");
-            let mem = run.mem.expect("profile sweeps read mem_stats");
-            let task = l.span(obs::Phase::Task);
-            pt.row(&[
-                "t2-profile".to_string(),
-                meta.query.to_string(),
-                meta.graph.to_string(),
-                format!("{t}"),
-                format!("{}", meta.edges),
-                format!("{n}"),
-                fmt_f(run.preload_s),
-                fmt_f(run.solve_s),
-                format!("{}", task.count),
-                fmt_f(task.secs),
-                format!("{}", out.stats.resolutions),
-                format!("{}", out.stats.kb_queries),
-                format!("{}", out.stats.kb_inserts),
-                format!("{}", out.stats.probe_advances),
-                format!("{}", out.stats.probe_repairs),
-                format!("{}", out.stats.probe_full_walks),
-                format!("{}", out.stats.par_donations),
-                l.depth.to_csv(),
-                l.walk.to_csv(),
-                l.repair.to_csv(),
-                l.donation.to_csv(),
-                l.attr.to_csv(),
-                format!("{}", mem.nodes),
-                format!("{}", mem.bytes),
-                format!("{}", mem.max_depth),
-            ]);
-        }
-        if let Some(ct) = &mut sinks.chrome {
-            let l = out.obs.as_ref().expect("traced sweeps run with obs on");
-            let name = format!("{}/{}/t{t}@{}", meta.query, meta.graph, meta.edges);
-            ct.push_run(&name, l, sinks.runs);
-        }
-        if sinks.provenance_on {
-            let mut rec: Vec<(&str, String)> = vec![
-                ("experiment", "t2-provenance".to_string()),
-                ("graph", meta.graph.to_string()),
-                ("edges", meta.edges.to_string()),
-                ("seed", meta.seed.to_string()),
-                (
-                    "snapshot",
-                    std::env::var("TETRIS_BENCH_JSONL").unwrap_or_else(|_| "-".into()),
-                ),
-            ];
-            rec.extend(run.provenance(prepared));
-            let pv = sinks.provenance.get_or_insert_with(|| {
-                let cols: Vec<&str> = rec.iter().map(|(f, _)| *f).collect();
-                Table::new(&cols)
-            });
-            let vals: Vec<String> = rec.into_iter().map(|(_, v)| v).collect();
-            pv.row(&vals);
-        }
     }
 }

@@ -11,24 +11,31 @@ use tetris_core::{Tetris, TetrisConfig};
 use tetris_join::prepared::PreparedJoin;
 use workload::{cycles, paths, triangle};
 
+/// The experiments `main` can run, in the order `all` runs them.
+const EXPERIMENTS: [(&str, fn()); 5] = [
+    ("t1-acyclic", t1_acyclic),
+    ("t1-agm", t1_agm),
+    ("t1-fhtw", t1_fhtw),
+    ("t1-cert-tw1", t1_cert_tw1),
+    ("t1-cert-tww", t1_cert_tww),
+];
+
 fn main() {
     let arg = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
-    let all = arg == "all";
+    let chosen: Vec<fn()> = EXPERIMENTS
+        .iter()
+        .filter(|(name, _)| arg == "all" || arg == *name)
+        .map(|&(_, run)| run)
+        .collect();
+    if chosen.is_empty() {
+        let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+        eprintln!("table1: unknown experiment {arg:?}");
+        eprintln!("usage: table1 [all|{}]", names.join("|"));
+        std::process::exit(2);
+    }
     println!("== Table 1 reproduction (Tetris, PODS 2015) ==\n");
-    if all || arg == "t1-acyclic" {
-        t1_acyclic();
-    }
-    if all || arg == "t1-agm" {
-        t1_agm();
-    }
-    if all || arg == "t1-fhtw" {
-        t1_fhtw();
-    }
-    if all || arg == "t1-cert-tw1" {
-        t1_cert_tw1();
-    }
-    if all || arg == "t1-cert-tww" {
-        t1_cert_tww();
+    for run in chosen {
+        run();
     }
 }
 

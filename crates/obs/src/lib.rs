@@ -1,9 +1,9 @@
 //! Zero-dependency observability layer for the Tetris engine stack:
 //! wall-clock **phase spans**, power-of-two-bucket **histograms**,
-//! box-store **memory ledgers**, a per-subtree **attribution ledger**,
-//! a bounded **flight recorder**, and a Chrome-trace **span exporter** —
-//! everything ROADMAP items 1–3 and 5 need as evidence, with nothing the
-//! metrics-off hot path has to pay for.
+//! box-store **memory ledgers**, a per-subtree **attribution ledger** and
+//! a bounded **flight recorder** — the evidence `tetris_bench --trace 1`
+//! and the ledger-balance walls read, with nothing the metrics-off hot
+//! path has to pay for.
 //!
 //! # Design
 //!
@@ -28,11 +28,6 @@
 //!   fixed-capacity ring that keeps the **most recent** accepted events,
 //!   filters by an event-kind bitmask and a descent-depth floor, and
 //!   accounts for everything it rejects or evicts.
-//!
-//! The serialized surface (the `*_hist` and `attr` cells of profile
-//! rows, parsed back by `bench_compare --check-profile`) is the
-//! comma-joined bucket counts of [`Pow2Histogram::to_csv`] and the
-//! row list of [`AttributionLedger::to_csv`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -90,8 +85,7 @@ impl Pow2Histogram {
     }
 
     /// Comma-joined bucket counts, truncated after the last non-zero
-    /// bucket (`"0"` for an empty histogram) — the profile-row cell
-    /// format, parsed back by [`Pow2Histogram::from_csv`].
+    /// bucket (`"0"` for an empty histogram).
     pub fn to_csv(&self) -> String {
         let last = self.buckets.iter().rposition(|&c| c != 0).unwrap_or(0);
         self.buckets[..=last]
@@ -99,19 +93,6 @@ impl Pow2Histogram {
             .map(|c| c.to_string())
             .collect::<Vec<_>>()
             .join(",")
-    }
-
-    /// Parse a [`Pow2Histogram::to_csv`] cell back into a histogram.
-    /// Returns `None` on malformed input or too many buckets.
-    pub fn from_csv(s: &str) -> Option<Self> {
-        let mut h = Pow2Histogram::new();
-        for (i, tok) in s.split(',').enumerate() {
-            if i >= HIST_BUCKETS {
-                return None;
-            }
-            h.buckets[i] = tok.trim().parse().ok()?;
-        }
-        Some(h)
     }
 }
 
@@ -178,7 +159,7 @@ pub struct AttrRow {
 }
 
 impl AttrRow {
-    /// True when every counter is zero (the row is omitted from CSV).
+    /// True when every counter is zero (`top_k` skips such rows).
     pub fn is_empty(&self) -> bool {
         self.resolutions == 0
             && self.re_resolutions == 0
@@ -358,65 +339,6 @@ impl AttributionLedger {
         hot.truncate(n);
         hot
     }
-
-    /// Serialize as the profile-row cell format: a `k<width>` header
-    /// followed by one `|`-separated entry per non-empty row,
-    /// `<row>:<resolutions>,<re_resolutions>,<inserts>,<repair_hits>`,
-    /// where `<row>` is the decimal prefix value or `s` for the short
-    /// row. An empty ledger is just the header.
-    pub fn to_csv(&self) -> String {
-        let mut out = format!("k{}", self.k);
-        for (i, r) in self.rows.iter().enumerate() {
-            if r.is_empty() {
-                continue;
-            }
-            let key = if i == self.short_row() {
-                "s".to_string()
-            } else {
-                i.to_string()
-            };
-            out.push_str(&format!(
-                "|{key}:{},{},{},{}",
-                r.resolutions, r.re_resolutions, r.inserts, r.repair_hits
-            ));
-        }
-        out
-    }
-
-    /// Parse an [`AttributionLedger::to_csv`] cell back. Returns `None`
-    /// on a malformed header, prefix width out of range, row index out
-    /// of range, or a row without exactly four counters.
-    pub fn from_csv(s: &str) -> Option<Self> {
-        let mut toks = s.split('|');
-        let head = toks.next()?;
-        let k: u32 = head.strip_prefix('k')?.trim().parse().ok()?;
-        if !(1..=16).contains(&k) {
-            return None;
-        }
-        let mut l = AttributionLedger::with_prefix_bits(k);
-        for tok in toks {
-            let (key, vals) = tok.split_once(':')?;
-            let idx = if key == "s" {
-                l.short_row()
-            } else {
-                let i: usize = key.trim().parse().ok()?;
-                if i >= l.short_row() {
-                    return None;
-                }
-                i
-            };
-            let mut cs = vals.split(',');
-            let row = &mut l.rows[idx];
-            row.resolutions = cs.next()?.trim().parse().ok()?;
-            row.re_resolutions = cs.next()?.trim().parse().ok()?;
-            row.inserts = cs.next()?.trim().parse().ok()?;
-            row.repair_hits = cs.next()?.trim().parse().ok()?;
-            if cs.next().is_some() {
-                return None;
-            }
-        }
-        Some(l)
-    }
 }
 
 /// Default [`FlightRecorder`] capacity: large enough that the worked
@@ -530,9 +452,8 @@ impl<E> FlightRecorder<E> {
 }
 
 /// One worker's metrics: the four engine histograms, the attribution
-/// ledger, per-phase span totals, and a bounded sample of individual
-/// spans. Plain data — merged with [`Ledger::absorb`] at scope end,
-/// never shared across threads.
+/// ledger and per-phase span totals. Plain data — merged with
+/// [`Ledger::absorb`] at scope end, never shared across threads.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Ledger {
     /// Resolution depth: descent-stack height at each resolution.
@@ -547,14 +468,7 @@ pub struct Ledger {
     pub attr: AttributionLedger,
     /// Wall-clock span totals, indexed by [`Phase`] discriminant.
     pub spans: [SpanTotals; PHASES],
-    /// The first [`SPAN_SAMPLE_CAP`] individual spans (phase, seconds),
-    /// for the Chrome exporter's frame lanes. The totals above stay
-    /// exact regardless of how much this sample truncates.
-    pub span_samples: Vec<(Phase, f64)>,
 }
-
-/// How many individual spans a [`Ledger`] samples for Chrome export.
-pub const SPAN_SAMPLE_CAP: usize = 512;
 
 impl Ledger {
     /// An empty ledger.
@@ -578,9 +492,6 @@ impl Ledger {
             a.count += b.count;
             a.secs += b.secs;
         }
-        let room = SPAN_SAMPLE_CAP.saturating_sub(self.span_samples.len());
-        self.span_samples
-            .extend(other.span_samples.iter().take(room));
     }
 }
 
@@ -654,9 +565,6 @@ impl ObsSink for Ledger {
         let s = &mut self.spans[phase as usize];
         s.count += 1;
         s.secs += secs;
-        if self.span_samples.len() < SPAN_SAMPLE_CAP {
-            self.span_samples.push((phase, secs));
-        }
     }
     #[inline]
     fn observe_resolution_at(&mut self, nav0: u64) {
@@ -775,142 +683,6 @@ impl<T: ObsSink> ObsSink for Option<T> {
     }
 }
 
-pub mod chrome {
-    //! Chrome trace-event export of a [`Ledger`]'s spans.
-    //!
-    //! Produces the JSON-array flavour of the Chrome trace-event format
-    //! (loadable in `chrome://tracing` and Perfetto): one complete
-    //! (`"ph":"X"`) event per span, timestamps and durations in
-    //! microseconds. The ledger records span *durations*, not wall
-    //! offsets, so lanes are **tiled**: each lane lays its spans
-    //! end-to-end in recording order — proportions and counts are
-    //! faithful, absolute timestamps are synthetic.
-    //!
-    //! The emitted file puts one event object per line, so the bench
-    //! crate's flat-object JSONL parser can verify every event after
-    //! stripping the array punctuation (that round-trip is pinned by a
-    //! bench-side test).
-
-    use super::{Ledger, Phase};
-
-    /// One Chrome complete event (`"ph":"X"`).
-    #[derive(Clone, Debug, PartialEq)]
-    pub struct ChromeEvent {
-        /// Event name (span label).
-        pub name: String,
-        /// Event category.
-        pub cat: &'static str,
-        /// Start timestamp in microseconds (synthetic, lane-tiled).
-        pub ts_us: u64,
-        /// Duration in microseconds.
-        pub dur_us: u64,
-        /// Process lane — one per exported run.
-        pub pid: u64,
-        /// Thread lane within the run (0 = phases, 1 = task frames).
-        pub tid: u64,
-    }
-
-    /// An accumulating Chrome trace: any number of runs, one `pid` each.
-    #[derive(Clone, Debug, Default)]
-    pub struct ChromeTrace {
-        events: Vec<ChromeEvent>,
-    }
-
-    const US: f64 = 1e6;
-
-    impl ChromeTrace {
-        /// An empty trace.
-        pub fn new() -> Self {
-            Self::default()
-        }
-
-        /// The events accumulated so far.
-        pub fn events(&self) -> &[ChromeEvent] {
-            &self.events
-        }
-
-        /// Append one run's spans under process lane `pid`: Preload and
-        /// Solve tiled on `tid` 0, sampled task frames tiled on `tid` 1.
-        /// `name` prefixes every event so runs stay tellable apart.
-        pub fn push_run(&mut self, name: &str, ledger: &Ledger, pid: u64) {
-            let mut phase_ts = 0u64;
-            for (phase, label) in [(Phase::Preload, "preload"), (Phase::Solve, "solve")] {
-                let t = ledger.span(phase);
-                if t.count == 0 {
-                    continue;
-                }
-                let dur = (t.secs * US) as u64;
-                self.events.push(ChromeEvent {
-                    name: format!("{name}/{label}"),
-                    cat: "phase",
-                    ts_us: phase_ts,
-                    dur_us: dur,
-                    pid,
-                    tid: 0,
-                });
-                phase_ts += dur;
-            }
-            let mut task_ts = 0u64;
-            for (i, &(phase, secs)) in ledger.span_samples.iter().enumerate() {
-                if phase != Phase::Task {
-                    continue;
-                }
-                let dur = (secs * US) as u64;
-                self.events.push(ChromeEvent {
-                    name: format!("{name}/task{i}"),
-                    cat: "task",
-                    ts_us: task_ts,
-                    dur_us: dur,
-                    pid,
-                    tid: 1,
-                });
-                task_ts += dur;
-            }
-        }
-
-        /// Serialize as a Chrome trace-event JSON array, one event
-        /// object per line.
-        pub fn to_json(&self) -> String {
-            let mut out = String::from("[\n");
-            for (i, e) in self.events.iter().enumerate() {
-                let sep = if i + 1 == self.events.len() { "" } else { "," };
-                out.push_str(&format!(
-                    "{{\"name\":{},\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{},\"tid\":{}}}{sep}\n",
-                    json_string(&e.name),
-                    e.cat,
-                    e.ts_us,
-                    e.dur_us,
-                    e.pid,
-                    e.tid
-                ));
-            }
-            out.push_str("]\n");
-            out
-        }
-    }
-
-    /// RFC 8259 string escaping for event names (the only free-form
-    /// strings in the output; everything else is numeric or a fixed
-    /// ASCII category).
-    fn json_string(s: &str) -> String {
-        let mut out = String::with_capacity(s.len() + 2);
-        out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out.push('"');
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -960,10 +732,11 @@ mod tests {
         h.observe(5);
         let csv = h.to_csv();
         assert_eq!(csv, "1,0,0,1");
-        let back = Pow2Histogram::from_csv(&csv).unwrap();
-        assert_eq!(back, h);
-        assert!(Pow2Histogram::from_csv("1,x").is_none());
-        assert!(Pow2Histogram::from_csv(&"0,".repeat(HIST_BUCKETS + 1)).is_none());
+        // The cell reads back as the histogram's leading buckets, and
+        // every bucket it leaves out is empty.
+        let back: Vec<u64> = csv.split(',').map(|c| c.parse().unwrap()).collect();
+        assert_eq!(back[..], h.buckets()[..back.len()]);
+        assert!(h.buckets()[back.len()..].iter().all(|&c| c == 0));
     }
 
     #[test]
@@ -1049,9 +822,9 @@ mod tests {
     }
 
     #[test]
-    fn attribution_merge_and_csv_roundtrip() {
+    fn attribution_merge_and_top_k() {
         let mut a = AttributionLedger::new();
-        assert_eq!(a.to_csv(), "k8", "empty ledger is just the header");
+        assert!(a.top_k(1).is_empty(), "an empty ledger has no hot rows");
         a.count_resolution(nav("10110010"));
         a.count_resolution(nav("101100101110"));
         a.count_insert(nav("10110010"));
@@ -1065,21 +838,10 @@ mod tests {
         // Both long boxes share the 8-bit prefix 10110010 = 178.
         assert_eq!(a.rows()[178].resolutions, 3);
         assert_eq!(a.rows()[a.short_row()].repair_hits, 1);
-        let csv = a.to_csv();
-        let back = AttributionLedger::from_csv(&csv).expect("roundtrip");
-        assert_eq!(back, a);
         // top_k orders by resolutions, ties by row index.
         let top = a.top_k(2);
         assert_eq!(top[0].0, 178);
         assert_eq!(top[0].1.resolutions, 3);
-        // Malformed cells are rejected.
-        assert!(AttributionLedger::from_csv("").is_none());
-        assert!(AttributionLedger::from_csv("k0").is_none());
-        assert!(AttributionLedger::from_csv("k99").is_none());
-        assert!(AttributionLedger::from_csv("k8|999:1,0,0,0").is_none());
-        assert!(AttributionLedger::from_csv("k8|3:1,0,0").is_none());
-        assert!(AttributionLedger::from_csv("k8|3:1,0,0,0,0").is_none());
-        assert!(AttributionLedger::from_csv("k8|3:x,0,0,0").is_none());
     }
 
     #[test]
@@ -1122,7 +884,7 @@ mod tests {
     }
 
     #[test]
-    fn ledger_attribution_and_span_samples_merge() {
+    fn ledger_attribution_and_span_totals_merge() {
         let mut l = Ledger::new();
         l.observe_resolution_at(nav("10110010"));
         l.observe_re_resolution_at(nav("10110010"));
@@ -1137,36 +899,6 @@ mod tests {
         assert_eq!(m.attr.re_resolutions(), 1);
         assert_eq!(m.attr.rows()[m.attr.short_row()].inserts, 1);
         assert_eq!(m.attr.repair_hits(), 1);
-        assert_eq!(m.span_samples.len(), 2);
         assert_eq!(m.span(Phase::Task).count, 2);
-    }
-
-    #[test]
-    fn chrome_trace_tiles_lanes_and_escapes_names() {
-        let mut l = Ledger::new();
-        l.record_span(Phase::Preload, 0.5);
-        l.record_span(Phase::Solve, 1.5);
-        l.record_span(Phase::Task, 0.25);
-        l.record_span(Phase::Task, 0.75);
-        let mut t = chrome::ChromeTrace::new();
-        t.push_run("smoke \"q\"", &l, 1);
-        let evs = t.events();
-        assert_eq!(evs.len(), 4);
-        // Phase lane tiles Preload then Solve.
-        assert_eq!((evs[0].ts_us, evs[0].dur_us, evs[0].tid), (0, 500_000, 0));
-        assert_eq!((evs[1].ts_us, evs[1].dur_us), (500_000, 1_500_000));
-        // Task lane tiles the two sampled frames.
-        assert_eq!((evs[2].ts_us, evs[2].tid), (0, 1));
-        assert_eq!(evs[3].ts_us, 250_000);
-        let json = t.to_json();
-        assert!(json.starts_with("[\n"));
-        assert!(json.ends_with("]\n"));
-        assert!(json.contains("\\\"q\\\""), "names are escaped: {json}");
-        assert!(json.contains("\"ph\":\"X\""));
-        // One object per line; all but the last end with a comma.
-        let lines: Vec<&str> = json.lines().collect();
-        assert_eq!(lines.len(), 6);
-        assert!(lines[1].ends_with(','));
-        assert!(!lines[4].ends_with(','));
     }
 }

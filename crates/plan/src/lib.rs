@@ -57,4 +57,4 @@ mod prepared;
 pub mod zoo;
 
 pub use ir::{QueryPlan, QueryPlanBuilder, SaoPolicy, SaoSource};
-pub use prepared::{descent_name, ExtraIndex, PlanRun, PreparedQuery};
+pub use prepared::{ExtraIndex, PlanRun, PreparedQuery};

@@ -43,71 +43,6 @@ pub struct PlanRun {
     /// construction (post-preload, pre-solve). `None` unless
     /// `TetrisConfig::obs` is set.
     pub mem: Option<obs::MemStats>,
-    /// The exact config this run executed under ([`PreparedQuery::run`]
-    /// copies the carried config; [`PreparedQuery::execute`] stamps its
-    /// argument) — the replayable half of a provenance record.
-    pub config: TetrisConfig,
-}
-
-/// The short name of a [`tetris_core::Descent`] mode, as provenance
-/// records and bench rows spell it.
-pub fn descent_name(d: tetris_core::Descent) -> &'static str {
-    match d {
-        tetris_core::Descent::Incremental => "incremental",
-        tetris_core::Descent::Restart => "restart",
-        tetris_core::Descent::RestartMemo => "restart-memo",
-        tetris_core::Descent::Parallel { .. } => "parallel",
-    }
-}
-
-impl PlanRun {
-    /// The replayable provenance record of this run as `(field, value)`
-    /// pairs: the full execution config, the phase timers, every scalar
-    /// counter the run produced, and (when the run carried a ledger) the
-    /// attribution CSV. Callers append their own workload fields
-    /// (generator name, seed, sizes) and serialize; every value is
-    /// plain text so the record round-trips through any row format.
-    pub fn provenance(&self, query: &PreparedQuery) -> Vec<(&'static str, String)> {
-        let c = &self.config;
-        let s = &self.output.stats;
-        let threads = match c.descent {
-            tetris_core::Descent::Parallel { threads } => threads,
-            _ => 1,
-        };
-        let mut fields = vec![
-            ("query", query.name().to_string()),
-            ("sao", query.sao().join(",")),
-            ("width", query.width.to_string()),
-            ("input_tuples", query.input_size().to_string()),
-            ("descent", descent_name(c.descent).to_string()),
-            ("threads", threads.to_string()),
-            ("preload", c.preload.to_string()),
-            ("cache_resolvents", c.cache_resolvents.to_string()),
-            ("obs", c.obs.to_string()),
-            ("preload_s", format!("{:.6}", self.preload_s)),
-            ("solve_s", format!("{:.6}", self.solve_s)),
-            ("resolutions", s.resolutions.to_string()),
-            ("splits", s.splits.to_string()),
-            ("kb_queries", s.kb_queries.to_string()),
-            ("kb_inserts", s.kb_inserts.to_string()),
-            ("kb_insert_skips", s.kb_insert_skips.to_string()),
-            ("probe_advances", s.probe_advances.to_string()),
-            ("probe_repairs", s.probe_repairs.to_string()),
-            ("probe_full_walks", s.probe_full_walks.to_string()),
-            ("oracle_probes", s.oracle_probes.to_string()),
-            ("loaded_boxes", s.loaded_boxes.to_string()),
-            ("outputs", s.outputs.to_string()),
-            ("restarts", s.restarts.to_string()),
-            ("par_tasks", s.par_tasks.to_string()),
-            ("par_donations", s.par_donations.to_string()),
-            ("trace_recorded", s.trace_recorded.to_string()),
-            ("trace_dropped", s.trace_dropped.to_string()),
-        ];
-        if let Some(l) = &self.output.obs {
-            fields.push(("attr", l.attr.to_csv()));
-        }
-        fields
-    }
 }
 
 /// A join query with chosen SAO and built indexes, ready to run.
@@ -306,7 +241,6 @@ impl PreparedQuery {
             preload_s,
             solve_s,
             mem,
-            config,
         }
     }
 
@@ -369,14 +303,6 @@ mod tests {
     use super::*;
     use relation::Schema;
 
-    fn path_query() -> PreparedQuery {
-        let r = Relation::new(
-            Schema::uniform(&["X", "Y"], 3),
-            vec![vec![0, 1], vec![1, 2], vec![2, 3]],
-        );
-        PreparedQuery::from_query_text("R(A,B), S(B,C)", 3, |_| &r).expect("parses")
-    }
-
     #[test]
     fn too_many_variables_is_an_error_not_a_panic() {
         // A 9-variable path query: one past MAX_DIMS.
@@ -398,42 +324,5 @@ mod tests {
         let join = PreparedQuery::from_query_text(shorter, 3, |_| &r).expect("8 variables");
         assert_eq!(join.sao().len(), MAX_DIMS);
         join.run();
-    }
-
-    #[test]
-    fn provenance_record_replays_the_run_config() {
-        let join = path_query();
-        let mut cfg = join.config();
-        cfg.obs = true;
-        let run = join.execute(cfg);
-        assert_eq!(run.config, cfg, "execute stamps the exact config it ran");
-        let fields = run.provenance(&join);
-        let get = |k: &str| {
-            fields
-                .iter()
-                .find(|(f, _)| *f == k)
-                .unwrap_or_else(|| panic!("missing provenance field {k}"))
-                .1
-                .clone()
-        };
-        assert_eq!(get("query"), join.name());
-        assert_eq!(get("sao"), join.sao().join(","));
-        assert_eq!(get("descent"), "incremental");
-        assert_eq!(get("threads"), "1");
-        assert_eq!(get("outputs"), run.output.stats.outputs.to_string());
-        assert_eq!(get("resolutions"), run.output.stats.resolutions.to_string());
-        // The attribution CSV round-trips through the obs parser and
-        // carries the run's exact resolution total.
-        let attr = obs::AttributionLedger::from_csv(&get("attr")).expect("attr CSV parses");
-        assert_eq!(attr.resolutions(), run.output.stats.resolutions);
-        // Field names are unique — the record is a well-formed row.
-        let mut names: Vec<&str> = fields.iter().map(|(f, _)| *f).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), fields.len());
-        // Without a ledger there is no attr field, and nothing else
-        // changes shape.
-        let plain = join.execute(join.config());
-        assert!(plain.provenance(&join).iter().all(|(f, _)| *f != "attr"));
     }
 }

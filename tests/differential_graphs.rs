@@ -124,11 +124,11 @@ fn parallel_listings_match_sequential_across_seeds() {
     }
 }
 
-/// The ISSUE 4 acceptance criterion: ≥ 2× at 4 workers on the 10⁵-edge
+/// The parallel-descent target: ≥ 2× at 4 workers on the 10⁵-edge
 /// skewed-graph triangle workload. Wall-clock scaling needs ≥ 4 physical
-/// cores — on smaller hosts (the 1-core dev container, busy CI runners)
-/// the measurement is meaningless, so the test skips itself there and
-/// the scaling snapshot lives in `BENCH_pr4.json` / EXPERIMENTS.md §7.
+/// cores — on smaller hosts (single-core machines, busy CI runners) the
+/// measurement is meaningless, so the test skips itself there; the
+/// measured scaling is recorded in EXPERIMENTS.md §7.
 #[test]
 #[ignore = "needs ≥4 idle cores; run with cargo test --release -- --ignored"]
 fn parallel_speedup_on_skewed_1e5() {

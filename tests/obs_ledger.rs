@@ -163,7 +163,15 @@ fn parallel_ledger_merges_and_balances() {
             task.count, s.par_tasks,
             "{label}: one Task span per parallel task"
         );
+        assert!(task.count >= 1, "{label}: the root task records a span");
         assert!(task.secs >= 0.0);
+        // The memory ledger is read post-preload in parallel runs too.
+        let mem = run.mem.expect("obs run carries the memory ledger");
+        assert!(mem.nodes >= 1, "{label}: preloaded store has nodes");
+        assert!(
+            mem.bytes >= mem.nodes,
+            "{label}: every node costs at least a byte: {mem:?}"
+        );
     }
 }
 
