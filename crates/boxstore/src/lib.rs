@@ -43,7 +43,7 @@ mod tree;
 pub use epochs::{CoverProbe, CoverageMarks};
 pub use oracle::{BoxOracle, SetOracle};
 pub use store::{DescentProbe, FrontierStack, REPAIR_CAP};
-pub use tree::BoxTree;
+pub use tree::{BoxTree, SortedTrie};
 
 /// The store contract the engines rely on, driven through the public API
 /// only: epochs, clears invalidating saved frontiers, and tracked probes

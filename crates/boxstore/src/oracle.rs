@@ -12,6 +12,11 @@ use dyadic::{DyadicBox, Space};
 
 /// Oracle access to a set of dyadic boxes `B` over a fixed [`Space`].
 ///
+/// `Tetris-Reloaded` asks it one probe at a time
+/// ([`BoxOracle::boxes_containing_into`]); `Tetris-Preloaded` copies all
+/// of `B` into its knowledge base once ([`BoxOracle::preload_into`]) and
+/// then never probes it.
+///
 /// Implementations must satisfy, for every unit box `p`:
 /// `boxes_containing(p)` returns boxes of `B` containing `p`, and returns
 /// a **non-empty** set whenever *some* box of `B` contains `p`. (Returning
@@ -60,6 +65,24 @@ pub trait BoxOracle: Sync {
             }
             None => false,
         }
+    }
+
+    /// Load all of `B` into a knowledge base (`Tetris-Preloaded`);
+    /// returns how many boxes were new, or `None` when `B` cannot be
+    /// enumerated.
+    ///
+    /// The default streams [`BoxOracle::for_each_box`] through
+    /// [`BoxTree::insert`]. An oracle that can write whole index
+    /// structures at once overrides it with [`BoxTree::bulk_load_trie`],
+    /// which must leave the store exactly as that stream would.
+    fn preload_into(&self, kb: &mut BoxTree) -> Option<u64> {
+        let mut novel = 0u64;
+        self.for_each_box(&mut |b| {
+            if kb.insert(b) {
+                novel += 1;
+            }
+        })
+        .then_some(novel)
     }
 
     /// Optional size hint: `|B|` when known.

@@ -42,7 +42,8 @@ pub struct DescentProbe {
     pub(crate) len: u8,
     /// Store insert count up to which `entries` is complete.
     pub(crate) mark: u64,
-    /// Store clear count at recording time (node ids die with a clear).
+    /// Store clear count at recording time (node ids die with a clear,
+    /// and the insert ring with a bulk load, which is stamped as one).
     pub(crate) clears: u32,
     /// Probes answered by advancing the recorded frontier (diagnostic).
     pub advances: u64,
@@ -192,7 +193,8 @@ pub(crate) struct InsertLog {
     ring: Vec<DyadicBox>,
     /// Novel inserts ever performed (monotone; not reset by clears).
     insert_count: u64,
-    /// Times the store was cleared (invalidates node ids and the log).
+    /// Times the store was cleared or bulk-loaded (invalidates saved
+    /// frontiers: node ids die with a clear, the ring with a bulk load).
     clears: u32,
 }
 
@@ -220,6 +222,15 @@ impl InsertLog {
 
     /// Stamp a store clear (keeps the monotone insert count).
     pub(crate) fn note_clear(&mut self) {
+        self.clears += 1;
+    }
+
+    /// Account for a bulk load of `novel` new boxes that wrote no ring
+    /// entries: the insert count advances as if each had been recorded,
+    /// and the load is stamped like a clear, so no frontier saved before
+    /// it trusts the ring across it.
+    pub(crate) fn note_bulk(&mut self, novel: u64) {
+        self.insert_count += novel;
         self.clears += 1;
     }
 
@@ -332,8 +343,8 @@ pub(crate) fn lens_key_of_box(c: &DyadicBox, dim: usize) -> [u8; MAX_DIMS] {
 /// diverge instead of re-walking every bit of every component.
 ///
 /// Resolvent streams are extremely local — an unwind merges siblings and
-/// ascends one bit at a time, and the preload feeds boxes in sorted
-/// order — so the common case resumes within a few bits of the end. The
+/// ascends one bit at a time, and a streamed preload feeds boxes in
+/// sorted order — so the common case resumes within a few bits of the end. The
 /// cached node ids stay valid because the tree is a push-only arena: the
 /// only invalidating mutation is a full [`clear`], which resets the
 /// cursor.

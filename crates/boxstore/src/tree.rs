@@ -4,6 +4,9 @@
 use crate::store::{is_child_at, DescentProbe, InsertCursor, InsertLog, REPAIR_CAP};
 use dyadic::{DyadicBox, DyadicInterval, MAX_DIMS};
 
+mod bulk;
+pub use bulk::SortedTrie;
+
 /// The top bit of a node's `link` word: the **λ-tail bit** (see
 /// [`Node`]). Every link — child or `next` — is a 31-bit id or sentinel.
 const LAM: u32 = 1 << 31;
@@ -31,11 +34,11 @@ const NEXT: usize = 2;
 /// dimension" — the question every frontier advance asks per surviving
 /// entry. At the last level that fact is exactly "a stored box ends
 /// here", so the bit doubles as the terminal mark. It is set on insert
-/// (the only two mutations are insert and full clear, and clears reset
+/// and bulk load (the only other mutation is a full clear, which resets
 /// every node), turning an up-to-`n`-hop pointer chase into one bit read
 /// on a line the advance already touches. Any link may instead be
 /// [`LEAF`].
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Node {
     children: [u32; 2],
     link: u32,
@@ -191,8 +194,17 @@ impl BoxTree {
         }
     }
 
+    /// Whether two stores hold byte-identical arenas: the same nodes, in
+    /// the same order, with the same links. Equivalence tests compare
+    /// the bulk preload against per-box inserts with it.
+    #[doc(hidden)]
+    pub fn arena_eq(&self, other: &BoxTree) -> bool {
+        self.n == other.n && self.root == other.root && self.nodes == other.nodes
+    }
+
     /// The **coverage epoch**: a counter bumped every time the stored set
-    /// actually changes (novel insert or [`BoxTree::clear`]). Because the
+    /// actually changes (novel insert, one per novel box of a
+    /// [`BoxTree::bulk_load_trie`], or [`BoxTree::clear`]). Because the
     /// stored set only grows between clears, any *positive* containment
     /// fact ("some stored box ⊇ `b`") observed at epoch `e` stays true at
     /// every later epoch, while a *negative* fact is only valid while the
@@ -290,18 +302,23 @@ impl BoxTree {
                 *leaf_fresh = Some(false);
                 LEAF
             }
-            NONE | LEAF => {
-                // The box must pass through: allocate the position, and
-                // keep the leaf's facts if one was here.
-                let id = self.alloc();
-                if link == LEAF {
-                    self.nodes[id as usize] = Node::from_leaf(level, self.n);
-                }
-                self.set_link(parent, slot, id);
-                id
-            }
+            // The box must pass through.
+            NONE | LEAF => self.materialize(parent, slot, level, link),
             real => real,
         }
+    }
+
+    /// Allocate the position behind `link` — `NONE` or a [`LEAF`] in slot
+    /// `slot` of real node `parent` — as a real node on `level`, keeping
+    /// the leaf's facts if one was here.
+    #[inline]
+    fn materialize(&mut self, parent: u32, slot: usize, level: usize, link: u32) -> u32 {
+        let id = self.alloc();
+        if link == LEAF {
+            self.nodes[id as usize] = Node::from_leaf(level, self.n);
+        }
+        self.set_link(parent, slot, id);
+        id
     }
 
     /// Insert a box. Returns `true` if it was new, `false` if this exact

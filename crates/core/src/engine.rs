@@ -223,9 +223,11 @@ pub struct Tetris<'o, O: BoxOracle + ?Sized> {
 
 impl<'o, O: BoxOracle + ?Sized> Tetris<'o, O> {
     /// Build an engine with explicit configuration. With
-    /// [`TetrisConfig::preload`] set this streams the oracle's whole box
-    /// set into the knowledge base, so callers can time the preload
-    /// (this call) and the solve (the terminal call) separately.
+    /// [`TetrisConfig::preload`] set this loads the oracle's whole box
+    /// set into the knowledge base through [`BoxOracle::preload_into`]
+    /// (a join oracle writes its SAO-consistent tries in bulk), so
+    /// callers can time the preload (this call) and the solve (the
+    /// terminal call) separately.
     pub fn with_config(oracle: &'o O, config: TetrisConfig) -> Self {
         let space = oracle.space();
         let mut engine = Tetris {
@@ -244,14 +246,9 @@ impl<'o, O: BoxOracle + ?Sized> Tetris<'o, O> {
             obs: config.obs.then(Box::default),
         };
         if config.preload {
-            let kb = &mut engine.kb;
-            let mut novel = 0u64;
-            let enumerable = oracle.for_each_box(&mut |b: &DyadicBox| {
-                if kb.insert(b) {
-                    novel += 1;
-                }
-            });
-            assert!(enumerable, "preloaded mode requires an enumerable oracle");
+            let novel = oracle
+                .preload_into(&mut engine.kb)
+                .expect("preloaded mode requires an enumerable oracle");
             engine.stats.kb_inserts += novel;
         }
         engine
@@ -640,9 +637,22 @@ impl<'o, O: BoxOracle + ?Sized> Tetris<'o, O> {
         if restarting {
             self.emit(TraceEvent::KIND_UNCOVERED, || TraceEvent::Uncovered(*cur));
         }
-        self.stats.oracle_probes += 1;
         let mut hits = std::mem::take(&mut self.hits);
-        self.oracle.boxes_containing_into(cur, &mut hits);
+        if self.config.preload {
+            // All of B is in the knowledge base, so a unit box it does not
+            // cover lies in no gap box: an output, with no probe.
+            debug_assert!(
+                {
+                    self.oracle.boxes_containing_into(cur, &mut hits);
+                    hits.is_empty()
+                },
+                "a gap box of B contains the uncovered point {cur}"
+            );
+            hits.clear();
+        } else {
+            self.stats.oracle_probes += 1;
+            self.oracle.boxes_containing_into(cur, &mut hits);
+        }
         let out = if hits.is_empty() {
             self.stats.outputs += 1;
             self.emit(TraceEvent::KIND_OUTPUT, || TraceEvent::Output(*cur));

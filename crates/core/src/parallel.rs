@@ -127,6 +127,9 @@ struct ParCtx<'a, O: BoxOracle + ?Sized> {
     /// The pre-descent knowledge base (preloaded gap set, or empty for
     /// reloaded mode), frozen for the duration of the run.
     base: &'a BoxTree,
+    /// `base` holds all of `B` ([`TetrisConfig::preload`]), so a point
+    /// it and the overlay leave uncovered is an output without a probe.
+    preloaded: bool,
     cache_resolvents: bool,
     /// Each task carries its own [`Ledger`] when set (merged at report
     /// collection — the hot path never shares one).
@@ -185,6 +188,7 @@ pub(crate) fn run_parallel<O: BoxOracle + ?Sized>(
         oracle,
         space,
         base: &kb,
+        preloaded: config.preload,
         cache_resolvents: config.cache_resolvents,
         obs: config.obs,
         stop_on_first,
@@ -498,12 +502,26 @@ impl SubEngine {
     }
 
     /// Handle an uncovered unit box: output it or load its gap boxes —
-    /// outputs are decided by the oracle alone, which is what makes the
-    /// parallel output set scheduling-independent.
+    /// outputs are decided by `B` alone (the oracle, or the preloaded
+    /// base store), which is what makes the parallel output set
+    /// scheduling-independent.
     fn absorb<O: BoxOracle + ?Sized>(&mut self, ctx: &ParCtx<'_, O>, cur: &DyadicBox) -> DyadicBox {
-        self.stats.oracle_probes += 1;
         let mut hits = std::mem::take(&mut self.hits);
-        ctx.oracle.boxes_containing_into(cur, &mut hits);
+        if ctx.preloaded {
+            // All of B is in the base store: an uncovered point is an
+            // output.
+            debug_assert!(
+                {
+                    ctx.oracle.boxes_containing_into(cur, &mut hits);
+                    hits.is_empty()
+                },
+                "a gap box of B contains the uncovered point {cur}"
+            );
+            hits.clear();
+        } else {
+            self.stats.oracle_probes += 1;
+            ctx.oracle.boxes_containing_into(cur, &mut hits);
+        }
         let w = if hits.is_empty() {
             self.stats.outputs += 1;
             let mut point = std::mem::take(&mut self.point);

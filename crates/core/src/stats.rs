@@ -41,7 +41,9 @@ pub struct TetrisStats {
     /// streaming; these would otherwise be counted in
     /// [`TetrisStats::kb_inserts`]).
     pub kb_insert_skips: u64,
-    /// Oracle probes issued by the outer loop (Algorithm 2 line 4).
+    /// Oracle probes issued by the outer loop (Algorithm 2 line 4). A
+    /// preloaded run issues none: with all of `B` in the knowledge base,
+    /// a unit box the store does not cover is an output without asking.
     pub oracle_probes: u64,
     /// Input gap boxes loaded from `B` into `A` (Reloaded mode).
     pub loaded_boxes: u64,

@@ -63,19 +63,19 @@ pub fn dyadic_cover_of_range_into(lo: u64, hi: u64, width: u8, out: &mut Vec<Dya
 /// If `v ∉ [lo, hi]`.
 pub fn dyadic_piece_containing(v: u64, lo: u64, hi: u64, width: u8) -> DyadicInterval {
     assert!(lo <= v && v <= hi, "point {v} outside range [{lo}, {hi}]");
-    // Walk from the longest (unit) ancestor of v upward while the interval
-    // stays inside the range; the last interval that fits is maximal.
-    let mut best = DyadicInterval::point(v, width);
-    for len in (0..width).rev() {
-        let cand = DyadicInterval::from_bits(v >> (width - len), len);
-        let (clo, chi) = cand.range(width);
-        if clo >= lo && chi <= hi {
-            best = cand;
-        } else {
-            break;
-        }
+    // The aligned block of 2^k values around v leaves out a value x iff
+    // v and x differ at some bit ≥ k. The block stays inside [lo, hi]
+    // iff it leaves out both neighbours of the range, so the largest k is
+    // the highest bit at which v differs from each of them.
+    let msb = |x: u64| (63 - x.leading_zeros()) as u8;
+    let mut k = width;
+    if lo > 0 {
+        k = k.min(msb(v ^ (lo - 1)));
     }
-    best
+    if hi < (1u64 << width) - 1 {
+        k = k.min(msb(v ^ (hi + 1)));
+    }
+    DyadicInterval::from_bits(v >> k, width - k)
 }
 
 /// Decompose an arbitrary (axis-aligned, inclusive-range) box into disjoint
@@ -225,6 +225,46 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The walk `dyadic_piece_containing` replaced: grow the unit
+    /// interval around `v` one bit at a time while it fits.
+    fn piece_by_walk(v: u64, lo: u64, hi: u64, width: u8) -> DyadicInterval {
+        let mut best = DyadicInterval::point(v, width);
+        for len in (0..width).rev() {
+            let cand = DyadicInterval::from_bits(v >> (width - len), len);
+            let (clo, chi) = cand.range(width);
+            if clo >= lo && chi <= hi {
+                best = cand;
+            } else {
+                break;
+            }
+        }
+        best
+    }
+
+    #[test]
+    fn piece_containing_matches_the_walk_exhaustively() {
+        for width in 0..=6u8 {
+            let max = (1u64 << width) - 1;
+            for lo in 0..=max {
+                for hi in lo..=max {
+                    for v in lo..=hi {
+                        assert_eq!(
+                            dyadic_piece_containing(v, lo, hi, width),
+                            piece_by_walk(v, lo, hi, width),
+                            "{v} in [{lo},{hi}] w{width}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside range")]
+    fn piece_containing_rejects_a_point_outside() {
+        dyadic_piece_containing(5, 0, 4, 3);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! probes it with candidate tuples and receives maximal gap boxes in SAO
 //! coordinates.
 
-use crate::IndexedRelation;
-use boxstore::BoxOracle;
+use crate::{Index, IndexedRelation};
+use boxstore::{BoxOracle, BoxTree};
 use dyadic::{DyadicBox, DyadicInterval, Space};
 
 /// One atom of a join query: an indexed relation plus the mapping from
@@ -219,6 +219,37 @@ impl BoxOracle for JoinOracle<'_> {
             a.rel.for_each_gap_box(&a.dims, &mut scratch, f);
         }
         true
+    }
+
+    fn preload_into(&self, kb: &mut BoxTree) -> Option<u64> {
+        // The `for_each_box` stream's order, atom by atom and index by
+        // index, so the store matches a streamed preload. Tries whose
+        // levels follow the SAO are written list by list; rotated tries
+        // and dyadic-tree indexes stream their boxes.
+        let n = self.space.n();
+        let mut scratch = DyadicBox::universe(n);
+        let mut novel = 0u64;
+        let mut dims = Vec::with_capacity(n);
+        for a in &self.atoms {
+            for ix in a.rel.indexes() {
+                if let Index::Trie(trie) = ix {
+                    // The SAO dimension of each trie level: strictly
+                    // increasing means the trie follows the SAO.
+                    dims.clear();
+                    dims.extend(trie.order().iter().map(|&p| a.dims[p]));
+                    if dims.windows(2).all(|w| w[0] < w[1]) {
+                        novel += kb.bulk_load_trie(trie, &dims);
+                        continue;
+                    }
+                }
+                ix.for_each_gap_box(&a.dims, &mut scratch, &mut |b| {
+                    if kb.insert(b) {
+                        novel += 1;
+                    }
+                });
+            }
+        }
+        Some(novel)
     }
 
     fn size_hint(&self) -> Option<usize> {

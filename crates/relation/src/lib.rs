@@ -10,14 +10,18 @@
 //!   per-attribute bit widths;
 //! * [`TrieIndex`] — a sorted search-trie (the in-memory equivalent of a
 //!   B-tree) in an arbitrary column order; its gaps are the σ-consistent
-//!   boxes of Figures 1 and 3a;
+//!   boxes of Figures 1 and 3a, and its CSR levels
+//!   ([`boxstore::SortedTrie`]) let a knowledge base write them in bulk;
 //! * [`DyadicTreeIndex`] — a quadtree-style binary-space-partition index;
 //!   its gaps are the fat boxes of Figure 3b that make certificates small;
 //! * [`IndexedRelation`] — a relation with **any number of indexes**, whose
 //!   gap sets are pooled (the paper's "multiple indices per relation");
 //! * [`JoinOracle`] — the bridge to the algorithm: given a natural-join
 //!   query, it answers probe-point queries with maximal gap boxes embedded
-//!   in the query's SAO coordinates (Algorithm 2, line 4).
+//!   in the query's SAO coordinates (Algorithm 2, line 4), and for
+//!   `Tetris-Preloaded` loads all of them into the knowledge base
+//!   ([`boxstore::BoxOracle::preload_into`]): tries whose levels follow
+//!   the SAO are written list by list, every other index box by box.
 //!
 //! ```
 //! use relation::{Relation, Schema, IndexedRelation};

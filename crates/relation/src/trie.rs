@@ -10,6 +10,7 @@
 //! of Definition 3.11 when the column order is consistent with the GAO.
 
 use crate::Relation;
+use boxstore::SortedTrie;
 use dyadic::{dyadic_piece_containing, range_gap_boxes_into, DyadicBox, DyadicInterval};
 
 /// A flat (struct-of-arrays) search trie over a relation, in a fixed
@@ -184,8 +185,10 @@ impl TrieIndex {
     /// `dim_map[p]` gives the output dimension of schema position `p`, and
     /// `scratch` (a `λ`-box of the output arity) is mutated in place — one
     /// component set per trie step instead of two full box constructions
-    /// per gap. This is the `Tetris-Preloaded` bulk path; the boxes passed
-    /// to `f` must be consumed immediately (the buffer is reused).
+    /// per gap. The boxes passed to `f` must be consumed immediately (the
+    /// buffer is reused). Its order is the one
+    /// [`boxstore::BoxTree::bulk_load_trie`] reproduces when it writes an
+    /// SAO-consistent trie without streaming.
     pub fn for_each_gap_box(
         &self,
         dim_map: &[usize],
@@ -281,6 +284,27 @@ impl TrieIndex {
                 path.pop();
             }
         }
+    }
+}
+
+/// The CSR levels, read by [`boxstore::BoxTree::bulk_load_trie`] to
+/// write this index's gap boxes into a knowledge base without streaming
+/// them one by one.
+impl SortedTrie for TrieIndex {
+    fn levels(&self) -> usize {
+        self.depth()
+    }
+
+    fn width(&self, level: usize) -> u8 {
+        self.widths[level]
+    }
+
+    fn values(&self, level: usize) -> &[u64] {
+        &self.values[level]
+    }
+
+    fn starts(&self, level: usize) -> &[u32] {
+        &self.starts[level]
     }
 }
 
