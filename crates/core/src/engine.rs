@@ -168,6 +168,42 @@ impl Frame {
     }
 }
 
+/// The inserts an incremental descent skipped as dead: a resolvent equal
+/// to the 0-side it just finished, and an output's unit box. No later
+/// probe target lies inside either (DESIGN.md §8). Debug builds keep them
+/// in a shadow store and assert, before every knowledge-base probe, that
+/// none contains the target; release builds keep nothing.
+#[derive(Default)]
+pub(crate) struct DeadInserts {
+    #[cfg(debug_assertions)]
+    shadow: Option<BoxTree>,
+}
+
+impl DeadInserts {
+    /// Skip a dead insert: count it in `kb_insert_skips`, and remember
+    /// it in debug builds.
+    #[inline]
+    #[cfg_attr(not(debug_assertions), allow(unused_variables))]
+    pub(crate) fn skip(&mut self, b: &DyadicBox, stats: &mut TetrisStats) {
+        stats.kb_insert_skips += 1;
+        #[cfg(debug_assertions)]
+        self.shadow
+            .get_or_insert_with(|| BoxTree::new(b.n()))
+            .insert(b);
+    }
+
+    /// Assert that no skipped insert contains the probe target `t`
+    /// (debug builds only): one that did could have been its witness.
+    #[inline]
+    #[cfg_attr(not(debug_assertions), allow(unused_variables))]
+    pub(crate) fn check_probe(&self, t: &DyadicBox) {
+        #[cfg(debug_assertions)]
+        if let Some(w) = self.shadow.as_ref().and_then(|s| s.find_containing(t)) {
+            panic!("skipped dead insert {w} contains the probe target {t}");
+        }
+    }
+}
+
 /// Build the bounded trace channel a config asks for (`None` when
 /// untraced — those runs allocate nothing for tracing).
 fn recorder_for(config: &TetrisConfig) -> Option<obs::FlightRecorder<TraceEvent>> {
@@ -215,6 +251,9 @@ pub struct Tetris<'o, O: BoxOracle + ?Sized> {
     frontiers: FrontierStack,
     /// Coverage-epoch memo ([`Descent::RestartMemo`] only).
     marks: CoverageMarks,
+    /// Dead inserts skipped by the incremental descent (checked in
+    /// debug builds).
+    dead: DeadInserts,
     /// Observability ledger ([`TetrisConfig::obs`] only); the
     /// `Option<Box<_>>` [`obs::ObsSink`] impl makes each observation
     /// site a single branch when off.
@@ -243,6 +282,7 @@ impl<'o, O: BoxOracle + ?Sized> Tetris<'o, O> {
             probe: DescentProbe::new(),
             frontiers: FrontierStack::new(),
             marks: CoverageMarks::new(),
+            dead: DeadInserts::default(),
             obs: config.obs.then(Box::default),
         };
         if config.preload {
@@ -415,18 +455,23 @@ impl<'o, O: BoxOracle + ?Sized> Tetris<'o, O> {
     fn drive(&mut self, mut on_output: impl FnMut(&[u64]) -> bool) {
         let universe = DyadicBox::universe(self.space.n());
         let mut cur = universe;
-        // Frame-saved frontiers only pay off when frames persist across
-        // events; the restart modes tear the stack down anyway (and
-        // RestartMemo may skip probes entirely, leaving nothing to save).
+        // `saving` is the incremental descent, the only one that keeps
+        // frames across events. Only then do frame-saved frontiers pay
+        // off (the restart modes tear the stack down, and RestartMemo may
+        // skip probes entirely, leaving nothing to save), and only then
+        // does no probe re-enter a finished subtree, so dead inserts can
+        // be skipped.
         let saving = !self.restarting();
         // Witness streaming: the latest resolvent rides here instead of
         // being inserted immediately. If the next resolution subsumes it
         // (the common unwind shape: each resolvent contains the one it
-        // consumed), it is dropped without ever touching the store; it is
-        // flushed the moment the unwind ends, so no probe ever runs
-        // against a store missing it. Dropping a subsumed box is
-        // witness-exact: any probe it would answer is answered by the
-        // strictly DFS-earlier subsuming box (see DESIGN.md).
+        // consumed), it is dropped without ever touching the store. When
+        // the unwind ends it is flushed, so no probe ever runs against a
+        // store missing it, unless it is dead: under the incremental
+        // descent, a resolvent equal to the 0-side the unwind is leaving
+        // contains no later probe target. Both drops are witness-exact:
+        // a subsumed box's probes are answered by the DFS-earlier
+        // subsuming box, and a dead box answers none (see DESIGN.md §8).
         let mut pending: Option<DyadicBox> = None;
         self.stats.restarts += 1;
         self.emit(TraceEvent::KIND_RESTART, || TraceEvent::Restart);
@@ -457,6 +502,7 @@ impl<'o, O: BoxOracle + ?Sized> Tetris<'o, O> {
                 }
                 if !known_uncovered {
                     self.stats.kb_queries += 1;
+                    self.dead.check_probe(&cur);
                     let repairs_before = self.probe.repairs;
                     let hit = self
                         .kb
@@ -529,14 +575,7 @@ impl<'o, O: BoxOracle + ?Sized> Tetris<'o, O> {
                 let Some(&top) = self.stack.last() else {
                     debug_assert!(witness.contains(&universe));
                     if let Some(p) = pending.take() {
-                        if self.kb.insert(&p) {
-                            self.stats.kb_inserts += 1;
-                            if let Some(l) = &mut self.obs {
-                                l.observe_insert_at(nav0(&p));
-                            }
-                        } else if let Some(l) = &mut self.obs {
-                            l.observe_re_resolution_at(nav0(&p));
-                        }
+                        self.store_resolvent(&p);
                     }
                     return; // the whole space is covered
                 };
@@ -570,15 +609,13 @@ impl<'o, O: BoxOracle + ?Sized> Tetris<'o, O> {
                             self.frontiers.restore_top(&parent, &mut self.probe);
                         }
                         // Leaving the unwind: materialize the in-flight
-                        // resolvent before the 1-side descent probes.
+                        // resolvent before the 1-side descent probes,
+                        // unless it is exactly the finished 0-side.
                         if let Some(p) = pending.take() {
-                            if self.kb.insert(&p) {
-                                self.stats.kb_inserts += 1;
-                                if let Some(l) = &mut self.obs {
-                                    l.observe_insert_at(nav0(&p));
-                                }
-                            } else if let Some(l) = &mut self.obs {
-                                l.observe_re_resolution_at(nav0(&p));
+                            if saving && p == parent.with(dim, parent.get(dim).child(0)) {
+                                self.dead.skip(&p, &mut self.stats);
+                            } else {
+                                self.store_resolvent(&p);
                             }
                         }
                         continue 'descend;
@@ -604,19 +641,7 @@ impl<'o, O: BoxOracle + ?Sized> Tetris<'o, O> {
                                     // Subsumed in flight: never materialized.
                                     self.stats.kb_insert_skips += 1;
                                 }
-                                Some(p) => {
-                                    if self.kb.insert(&p) {
-                                        self.stats.kb_inserts += 1;
-                                        if let Some(l) = &mut self.obs {
-                                            l.observe_insert_at(nav0(&p));
-                                        }
-                                    } else if let Some(l) = &mut self.obs {
-                                        // The resolvent re-derived a box
-                                        // the store already holds verbatim
-                                        // — the T1.1 re-resolution signal.
-                                        l.observe_re_resolution_at(nav0(&p));
-                                    }
-                                }
+                                Some(p) => self.store_resolvent(&p),
                                 None => {}
                             }
                             pending = Some(w);
@@ -627,6 +652,20 @@ impl<'o, O: BoxOracle + ?Sized> Tetris<'o, O> {
                     }
                 }
             }
+        }
+    }
+
+    /// Insert a resolvent into the knowledge base.
+    fn store_resolvent(&mut self, p: &DyadicBox) {
+        if self.kb.insert(p) {
+            self.stats.kb_inserts += 1;
+            if let Some(l) = &mut self.obs {
+                l.observe_insert_at(nav0(p));
+            }
+        } else if let Some(l) = &mut self.obs {
+            // The resolvent re-derived a box the store already holds
+            // verbatim — the T1.1 re-resolution signal.
+            l.observe_re_resolution_at(nav0(p));
         }
     }
 
@@ -660,11 +699,19 @@ impl<'o, O: BoxOracle + ?Sized> Tetris<'o, O> {
             cur.write_point(&self.space, &mut point);
             let stop = on_output(&point);
             self.point = point;
-            if self.kb.insert(cur) {
-                self.stats.kb_inserts += 1;
-                if let Some(l) = &mut self.obs {
-                    l.observe_insert_at(nav0(cur));
+            if restarting {
+                // A restart re-probes from the universe and must find
+                // the output covered.
+                if self.kb.insert(cur) {
+                    self.stats.kb_inserts += 1;
+                    if let Some(l) = &mut self.obs {
+                        l.observe_insert_at(nav0(cur));
+                    }
                 }
+            } else {
+                // The unwind takes the output as its witness directly,
+                // and no later probe target lies inside it.
+                self.dead.skip(cur, &mut self.stats);
             }
             if stop {
                 Absorb::Stop
@@ -1202,7 +1249,7 @@ mod tests {
         );
         assert!(
             out.stats.probe_repairs > 0,
-            "resolvent inserts between sibling descents should exercise \
+            "gap-box loads between sibling descents should exercise \
              the repair path: {:?}",
             out.stats
         );

@@ -21,7 +21,8 @@
 //!   knowledge base (the `Tetris-Preloaded` store, shared read-only by
 //!   all workers, where frame-saved frontiers advance without ever
 //!   needing repair) plus a private overlay shard holding the task's
-//!   loads, resolvents, and reported outputs. A donated task's shard is
+//!   loads and kept resolvents (an output's unit box is a dead insert,
+//!   never stored; DESIGN.md §8). A donated task's shard is
 //!   seeded with `extract_intersecting_into` from the donor's shard —
 //!   the slice of the donor's knowledge that can matter inside the
 //!   donated half. Shard stores themselves are **recycled**: a joined
@@ -48,7 +49,7 @@
 //! stats-regression wall pins `outputs` (and the tuples themselves) and
 //! documents every other counter as scheduling-dependent.
 
-use crate::engine::{nav0, Frame, Tetris, TetrisOutput};
+use crate::engine::{nav0, DeadInserts, Frame, Tetris, TetrisOutput};
 use crate::TetrisStats;
 use boxstore::{BoxOracle, BoxTree, DescentProbe, FrontierStack};
 use dyadic::{resolve::ordered_resolve, DyadicBox, DyadicInterval, Space};
@@ -252,12 +253,16 @@ struct SubEngine {
     inserts: Vec<DyadicBox>,
     /// Witness streaming (see the sequential driver): the latest
     /// resolvent, not yet materialized in the shard. Dropped when the
-    /// next resolvent subsumes it, flushed whenever the unwind ends —
-    /// so the shard is complete before any probe. A dropped resolvent
-    /// also never reaches the merge-on-return log; that is sound because
-    /// any subset of the log may be merged, and exact because its
-    /// subsuming box escapes every target the dropped box escapes.
+    /// next resolvent subsumes it, or when it equals the 0-side the
+    /// unwind is leaving (a dead insert); flushed otherwise whenever the
+    /// unwind ends — so the shard is complete before any probe. A
+    /// dropped resolvent also never reaches the merge-on-return log;
+    /// that is sound because any subset of the log may be merged, and
+    /// exact: a subsuming box escapes every target the dropped box
+    /// escapes, and a dead box lies inside this task's target.
     pending: Option<DyadicBox>,
+    /// Dead inserts skipped (checked in debug builds).
+    dead: DeadInserts,
     hits: Vec<DyadicBox>,
     point: Vec<u64>,
     cancelled: bool,
@@ -278,6 +283,7 @@ fn run_task<O: BoxOracle + ?Sized>(ctx: &ParCtx<'_, O>, task: Task, worker: &Wor
         outputs: Vec::new(),
         inserts: Vec::new(),
         pending: None,
+        dead: DeadInserts::default(),
         hits: Vec::new(),
         point: Vec::new(),
         cancelled: false,
@@ -429,8 +435,18 @@ impl SubEngine {
                             self.frontiers.restore_top(&parent, &mut self.base_probe);
                         }
                         // Leaving the unwind: materialize the in-flight
-                        // resolvent before the 1-side descent probes.
-                        self.flush_pending();
+                        // resolvent before the 1-side descent probes,
+                        // unless it is exactly the finished 0-side. That
+                        // box lies inside this task's target and outside
+                        // every pending 1-side, so no donation or merge
+                        // would have copied it either.
+                        if let Some(p) = self.pending.take() {
+                            if p == parent.with(dim, parent.get(dim).child(0)) {
+                                self.dead.skip(&p, &mut self.stats);
+                            } else {
+                                self.insert_shard(&p);
+                            }
+                        }
                         continue 'descend;
                     }
                     Some(w1) => {
@@ -465,6 +481,7 @@ impl SubEngine {
         // once), so the repair histogram's total equals `probe_repairs`
         // exactly; the walk histogram gets one observation per KB query
         // — the frontier entries across whichever probes ran for it.
+        self.dead.check_probe(cur);
         let base_repairs = self.base_probe.repairs;
         let hit = ctx
             .base
@@ -528,12 +545,9 @@ impl SubEngine {
             cur.write_point(&ctx.space, &mut point);
             self.outputs.push(point.clone());
             self.point = point;
-            if self.shard.insert(cur) {
-                self.stats.kb_inserts += 1;
-                if let Some(l) = &mut self.obs {
-                    l.observe_insert_at(nav0(cur));
-                }
-            }
+            // The unwind takes the output as its witness directly, and no
+            // later probe target lies inside it: a dead insert.
+            self.dead.skip(cur, &mut self.stats);
             if ctx.stop_on_first {
                 ctx.stop.store(true, Ordering::Relaxed);
             }
@@ -552,7 +566,7 @@ impl SubEngine {
                     }
                 }
             }
-            self.best_witness(&hits, cur)
+            self.best_witness(&hits, cur, &ctx.space)
         };
         self.hits = hits;
         w
@@ -717,8 +731,9 @@ impl SubEngine {
     }
 
     /// Among freshly loaded boxes, pick the one collapsing the largest
-    /// suffix of the live descent (same policy as the sequential driver).
-    fn best_witness(&self, hits: &[DyadicBox], cur: &DyadicBox) -> DyadicBox {
+    /// suffix of the live descent, ties broken by volume (same policy as
+    /// the sequential driver).
+    fn best_witness(&self, hits: &[DyadicBox], cur: &DyadicBox, space: &Space) -> DyadicBox {
         debug_assert!(!hits.is_empty());
         let mut best = hits[0];
         let mut best_depth = usize::MAX;
@@ -726,7 +741,7 @@ impl SubEngine {
             let depth = self
                 .stack
                 .partition_point(|pf| !pf.frame.covered_by(h, cur));
-            if depth < best_depth {
+            if depth < best_depth || (depth == best_depth && h.volume(space) > best.volume(space)) {
                 best = *h;
                 best_depth = depth;
             }

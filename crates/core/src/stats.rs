@@ -29,17 +29,23 @@ pub struct TetrisStats {
     /// was recorded) instead of re-walking the store.
     pub probe_advances: u64,
     /// Knowledge-base probes answered by advancing a **frame-saved**
-    /// frontier and repairing it against the store's rolling insert log
-    /// (right-sibling descents after resolvent inserts).
+    /// frontier and repairing it against the store's rolling insert log:
+    /// right-sibling descents after the store changed under the saved
+    /// frontier. Only kept resolvents and loaded gap boxes change it (the
+    /// incremental descent skips dead inserts), so a preloaded run that
+    /// keeps no resolvent during solve makes none.
     pub probe_repairs: u64,
     /// Knowledge-base probes that performed a full store walk.
     pub probe_full_walks: u64,
     /// Boxes inserted into the knowledge base (all sources).
     pub kb_inserts: u64,
-    /// Resolvents never materialized in the knowledge base because the
-    /// immediately following resolvent already contained them (witness
-    /// streaming; these would otherwise be counted in
-    /// [`TetrisStats::kb_inserts`]).
+    /// Boxes never materialized in the knowledge base, which would
+    /// otherwise be counted in [`TetrisStats::kb_inserts`]. A skip is
+    /// either *subsumed in flight* — a resolvent the immediately
+    /// following resolvent contains (witness streaming) — or *dead*: under
+    /// the incremental descent, a resolvent equal to the 0-side it just
+    /// finished, or an output's unit box. No later probe target lies
+    /// inside a dead box.
     pub kb_insert_skips: u64,
     /// Oracle probes issued by the outer loop (Algorithm 2 line 4). A
     /// preloaded run issues none: with all of `B` in the knowledge base,

@@ -11,8 +11,9 @@ use core::fmt;
 /// covers every query in the paper's experiments. Boxes are `Copy` values
 /// that ride through the engine's unwind, the insert ring, and the saved
 /// frontiers by the tens of millions, so the capacity is deliberately the
-/// smallest that fits the workloads: at 10⁶-edge scale roughly a fifth of
-/// solve time is box `memcpy`, linear in this constant.
+/// smallest that fits the workloads. Box `memcpy` is linear in this
+/// constant; with 8-byte intervals it fell to about 1% of profile samples
+/// (DESIGN.md §8), so this is no longer where solve time goes.
 pub const MAX_DIMS: usize = 8;
 
 /// A dyadic box `b = ⟨x₁, …, xₙ⟩`: one dyadic interval per dimension.

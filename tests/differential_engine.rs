@@ -19,7 +19,7 @@ use dyadic::{DyadicBox, DyadicInterval, Space, MAX_DIMS};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use relation::{Relation, Schema};
 use tetris_join::prepared::PreparedJoin;
-use tetris_join::tetris::{Descent, Tetris, TetrisConfig};
+use tetris_join::tetris::{Descent, Tetris, TetrisConfig, TetrisStats};
 
 /// A random space with `1..=MAX_DIMS` dimensions and mixed widths, kept
 /// small enough for exhaustive enumeration — and for the *uncached
@@ -215,6 +215,46 @@ fn parallel_descent_matches_sequential_on_random_spaces() {
                 }
             }
         }
+    }
+}
+
+/// One worker never donates, so `Descent::Parallel { threads: 1 }` is
+/// the sequential incremental descent run against its overlay shard. On
+/// a reloaded run the frozen base is empty, so every probe sees the same
+/// store and must return the same witness: the two drivers then agree
+/// counter for counter. This pins that they share one witness policy
+/// (`best_witness` breaks depth ties by volume) and one dead-insert rule.
+#[test]
+fn parallel_one_worker_matches_sequential_counters() {
+    let counters = |s: &TetrisStats| {
+        (
+            s.resolutions,
+            s.kb_queries,
+            s.oracle_probes,
+            s.kb_inserts,
+            s.kb_insert_skips,
+        )
+    };
+    for seed in 600..4600u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = rng.gen_range(1..=3);
+        let widths: Vec<u8> = (0..n).map(|_| rng.gen_range(0..=5)).collect();
+        let space = Space::from_widths(&widths);
+        let count = rng.gen_range(0..=80);
+        let boxes: Vec<DyadicBox> = (0..count).map(|_| random_box(&mut rng, &space)).collect();
+        let oracle = SetOracle::new(space, boxes);
+        let seq = Tetris::reloaded(&oracle).run();
+        let par = Tetris::reloaded(&oracle)
+            .descent(Descent::Parallel { threads: 1 })
+            .run();
+        assert_eq!(par.tuples, seq.tuples, "seed {seed}: outputs differ");
+        assert_eq!(
+            counters(&par.stats),
+            counters(&seq.stats),
+            "seed {seed}: (resolutions, kb_queries, oracle_probes, kb_inserts, \
+             kb_insert_skips) differ between one parallel worker and the \
+             sequential driver (space {widths:?})"
+        );
     }
 }
 

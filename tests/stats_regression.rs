@@ -1,8 +1,10 @@
-//! Stats-regression wall: pinned `TetrisStats` counters on two fixed
-//! instances — the paper's worked Example 4.4 and a fixed skew-triangle
-//! join (m = 8, 6-bit domains). The counters are the engine's observable
-//! cost model; an accidental change to the descent, the probe layer, or
-//! the knowledge base shows up here before it shows up in a benchmark.
+//! Stats-regression wall: pinned `TetrisStats` counters on three fixed
+//! instances — the paper's worked Example 4.4, a fixed skew-triangle
+//! join (m = 8, 6-bit domains) and a small power-law 4-cycle, where the
+//! resolvent cache changes the resolution count. The counters are the
+//! engine's observable cost model; an accidental change to the descent,
+//! the probe layer, or the knowledge base shows up here before it shows
+//! up in a benchmark.
 //!
 //! ## Update protocol
 //!
@@ -23,9 +25,10 @@
 
 use boxstore::SetOracle;
 use dyadic::{DyadicBox, Space};
+use tetris_join::plan::zoo;
 use tetris_join::prepared::PreparedJoin;
 use tetris_join::tetris::{Descent, Tetris, TetrisConfig, TetrisStats};
-use workload::triangle;
+use workload::{graphs, triangle};
 
 /// The pinned counter subset: (restarts, oracle_probes, kb_inserts,
 /// resolutions, outputs, loaded_boxes, kb_queries).
@@ -78,14 +81,14 @@ fn example_4_4_counters_are_pinned() {
     assert_pin(
         "ex4.4 reloaded incremental",
         &inc.stats,
-        (1, 5, 9, 8, 2, 4, 20),
+        (1, 5, 5, 8, 2, 4, 20),
     );
 
     let pre = Tetris::preloaded(&oracle).run();
     assert_pin(
         "ex4.4 preloaded incremental",
         &pre.stats,
-        (1, 0, 9, 8, 2, 0, 17),
+        (1, 0, 5, 8, 2, 0, 17),
     );
 
     let restart = Tetris::reloaded(&oracle).descent(Descent::Restart).run();
@@ -105,11 +108,13 @@ fn example_4_4_counters_are_pinned() {
     );
     assert_eq!(memo.stats.mark_hits, 10, "ex4.4 memo mark hits");
     // Witness streaming (PR 6): 5 of the old 14 resolvent inserts are
-    // subsumed by the next resolvent and never materialized — the skips
-    // plus the surviving inserts must account for every old insert, and
+    // subsumed by the next resolvent and never materialized. The
+    // incremental descent also skips 4 dead inserts (2 resolvents equal
+    // to the 0-side they finished, 2 output unit boxes). The skips plus
+    // the surviving inserts must account for every old insert, and
     // resolutions/outputs/queries are bit-identical to the pre-streaming
     // engine (the pins above).
-    assert_eq!(inc.stats.kb_insert_skips, 5, "ex4.4 streaming skips");
+    assert_eq!(inc.stats.kb_insert_skips, 9, "ex4.4 streaming skips");
     assert_eq!(
         inc.stats.kb_inserts + inc.stats.kb_insert_skips,
         14,
@@ -143,7 +148,7 @@ fn skew_triangle_m8_counters_are_pinned() {
     assert_pin(
         "skew(8) preloaded incremental",
         &pre.stats,
-        (1, 0, 357, 183, 25, 0, 367),
+        (1, 0, 170, 183, 25, 0, 367),
     );
     assert_eq!(pre.tuples.len() as u64, inst.expected_output.unwrap());
 
@@ -151,7 +156,7 @@ fn skew_triangle_m8_counters_are_pinned() {
     assert_pin(
         "skew(8) reloaded incremental",
         &rel.stats,
-        (1, 136, 309, 183, 25, 121, 829),
+        (1, 136, 122, 183, 25, 121, 829),
     );
 
     let restart = Tetris::preloaded(&oracle).descent(Descent::Restart).run();
@@ -177,16 +182,57 @@ fn skew_triangle_m8_counters_are_pinned() {
         pre.stats.kb_queries
     );
     assert!(pre.stats.probe_advances > 0);
+    // The preloaded run makes no repairs: with its dead resolvents no
+    // longer written, no saved frontier lags the store. The reloaded run
+    // keeps loading gap boxes, so its right-sibling descents are still
+    // repair-served.
     assert!(
-        pre.stats.probe_repairs > 0,
+        rel.stats.probe_repairs > 0,
         "right-sibling descents should be repair-served: {:?}",
-        pre.stats
+        rel.stats
     );
-    // Witness streaming: every pre-streaming insert is either kept or
-    // skipped, and both runs skip the same 20 subsumed resolvents.
-    assert_eq!(pre.stats.kb_insert_skips, 20, "skew(8) streaming skips");
+    // Every pre-streaming insert is either kept or skipped, and both
+    // runs skip the same 207: 20 subsumed resolvents and 187 dead inserts
+    // (resolvents equal to a finished 0-side, and output unit boxes).
+    assert_eq!(pre.stats.kb_insert_skips, 207, "skew(8) streaming skips");
     assert_eq!(pre.stats.kb_inserts + pre.stats.kb_insert_skips, 377);
     assert_eq!(rel.stats.kb_inserts + rel.stats.kb_insert_skips, 329);
+}
+
+/// A preloaded 4-cycle over a 400-edge power-law graph: the pinned
+/// instance where the resolvent cache changes the resolution count.
+/// Turning the cache off costs 2,585 more resolutions. An insert skip
+/// that dropped resolvents a later probe can reach would cost some too:
+/// skipping every flushed resolvent, not only the dead ones, gives 9,957.
+#[test]
+fn power_law_four_cycle_counters_are_pinned() {
+    let g = graphs::power_law_graph(200, 0.8, 400, 3);
+    let rel = g.edge_relation();
+    let prepared = zoo::four_cycle(&rel).prepare();
+    let cfg = TetrisConfig {
+        preload: true,
+        ..Default::default()
+    };
+
+    let run = prepared.execute(cfg);
+    let s = &run.output.stats;
+    assert_pin(
+        "4-cycle power-law preloaded incremental",
+        s,
+        (1, 0, 8024, 8852, 320, 0, 17705),
+    );
+    assert_eq!(s.outputs, g.count_four_cycles());
+    // The dead inserts (resolvents equal to a finished 0-side, and
+    // output unit boxes) are skipped, not lost: kept plus skipped is the
+    // insert count of an engine that stores them all.
+    assert_eq!(s.kb_inserts + s.kb_insert_skips, 15237);
+
+    let tree = prepared.execute(TetrisConfig {
+        cache_resolvents: false,
+        ..cfg
+    });
+    assert_eq!(tree.output.tuples, run.output.tuples);
+    assert_eq!(tree.output.stats.resolutions, 11437, "4-cycle cache off");
 }
 
 /// The observability histograms (PR 9) pinned on the same two fixed
@@ -213,7 +259,7 @@ fn obs_histograms_are_pinned() {
     let l = out.obs.as_ref().expect("obs requested");
     assert_eq!(l.depth.to_csv(), "0,1,5,2", "ex4.4 resolution depths");
     assert_eq!(l.walk.to_csv(), "6,9,2", "ex4.4 probe walk lengths");
-    assert_eq!(l.repair.to_csv(), "0,0,1", "ex4.4 repair windows");
+    assert_eq!(l.repair.to_csv(), "0", "ex4.4 repair windows");
 
     let width = 6u8;
     let inst = triangle::skew_triangle(8, width);
@@ -229,12 +275,8 @@ fn obs_histograms_are_pinned() {
         "0,1,2,19,103,58",
         "skew(8) resolution depths"
     );
-    assert_eq!(l.walk.to_csv(), "160,90,117", "skew(8) probe walk lengths");
-    assert_eq!(
-        l.repair.to_csv(),
-        "0,0,36,49,46,4,1",
-        "skew(8) repair windows"
-    );
+    assert_eq!(l.walk.to_csv(), "164,86,117", "skew(8) probe walk lengths");
+    assert_eq!(l.repair.to_csv(), "0", "skew(8) repair windows");
     // The memory ledger on the preloaded binary store is as pinnable as
     // any counter: nodes and bytes are decided by the insert sequence.
     // (Re-pinned from (443, 7088, 14) when λ-tail ends stopped taking a
