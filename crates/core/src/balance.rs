@@ -20,7 +20,7 @@
 //! F.6: boxes load on demand and the partitions are rebuilt (from scratch)
 //! whenever the loaded set doubles — `O(log |C|)` rebuilds total.
 
-use crate::{TetrisStats, TraceEvent};
+use crate::TetrisStats;
 use boxstore::{BoxOracle, BoxTree};
 use dyadic::{resolve::ordered_resolve, DyadicBox, DyadicInterval, Space};
 
@@ -509,13 +509,6 @@ impl LiftedPhase {
 enum Skel {
     Covered(DyadicBox),
     Uncovered(DyadicBox),
-}
-
-// Re-use the TraceEvent type publicly even though the LB engine does not
-// trace (keeps the public API uniform).
-#[allow(unused)]
-fn _trace_type_check(e: TraceEvent) -> TraceEvent {
-    e
 }
 
 #[cfg(test)]

@@ -15,11 +15,18 @@
 //! lower-bound reproductions need its re-treading behaviour), and
 //! [`Descent::RestartMemo`] shows how far coverage-epoch marks alone
 //! ([`boxstore::CoverageMarks`]) can repair it.
+//!
+//! `Skeleton::drive` is the one descent loop. It is generic over the
+//! knowledge base it probes (`KbView`) and a scheduling hook (`Sched`).
+//! [`Tetris`] runs it on one store with a hook that does nothing, and
+//! every [`Descent::Parallel`] task runs it on a frozen base plus an
+//! overlay shard with a hook that cancels, donates and joins.
 
 use crate::{TetrisStats, TraceConfig, TraceEvent};
 use boxstore::{BoxOracle, BoxTree, CoverProbe, CoverageMarks, DescentProbe, FrontierStack};
 use dyadic::{resolve::ordered_resolve, DyadicBox, DyadicInterval, Space};
-use obs::ObsSink;
+use obs::{Ledger, ObsSink};
+use std::ops::ControlFlow;
 
 /// How the engine walks the skeleton between knowledge-base changes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -121,8 +128,9 @@ pub struct TetrisOutput {
 /// stored — it is reconstructed from the current position (`cur`) as
 /// "components before `dim` as in `cur`, component `dim` truncated to
 /// `len`, `λ` after", which every deeper position agrees with. Keeping
-/// frames this small is what makes the persistent stack cheap (and is the
-/// shape a future work-stealing split would hand to another worker).
+/// frames this small is what makes the persistent stack cheap. A parallel
+/// task that donates a frame's 1-side hands over that half's target box,
+/// and records the frame by its stack depth beside the stack.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Frame {
     /// Split dimension (the target's first thick dimension).
@@ -155,8 +163,8 @@ impl Frame {
         true
     }
 
-    /// Materialize the frame's target box (restart-memo bookkeeping and
-    /// frontier restores; the probe hot path never needs it).
+    /// Materialize the frame's target box (restart-memo bookkeeping,
+    /// frontier restores and donations; the probe hot path never needs it).
     pub(crate) fn target(&self, cur: &DyadicBox) -> DyadicBox {
         let dim = self.dim as usize;
         let mut t = *cur;
@@ -174,7 +182,7 @@ impl Frame {
 /// in a shadow store and assert, before every knowledge-base probe, that
 /// none contains the target; release builds keep nothing.
 #[derive(Default)]
-pub(crate) struct DeadInserts {
+struct DeadInserts {
     #[cfg(debug_assertions)]
     shadow: Option<BoxTree>,
 }
@@ -184,7 +192,7 @@ impl DeadInserts {
     /// it in debug builds.
     #[inline]
     #[cfg_attr(not(debug_assertions), allow(unused_variables))]
-    pub(crate) fn skip(&mut self, b: &DyadicBox, stats: &mut TetrisStats) {
+    fn skip(&mut self, b: &DyadicBox, stats: &mut TetrisStats) {
         stats.kb_insert_skips += 1;
         #[cfg(debug_assertions)]
         self.shadow
@@ -196,7 +204,7 @@ impl DeadInserts {
     /// (debug builds only): one that did could have been its witness.
     #[inline]
     #[cfg_attr(not(debug_assertions), allow(unused_variables))]
-    pub(crate) fn check_probe(&self, t: &DyadicBox) {
+    fn check_probe(&self, t: &DyadicBox) {
         #[cfg(debug_assertions)]
         if let Some(w) = self.shadow.as_ref().and_then(|s| s.find_containing(t)) {
             panic!("skipped dead insert {w} contains the probe target {t}");
@@ -220,45 +228,119 @@ pub(crate) fn nav0(b: &DyadicBox) -> u64 {
     b.get(0).nav_word()
 }
 
+/// The knowledge base a descent probes and grows: one store for
+/// [`Tetris`], a frozen base plus an overlay shard for a parallel task.
+pub(crate) trait KbView {
+    /// A stored box containing `cur` (Algorithm 1 line 1); `dim` is as in
+    /// [`BoxTree::find_containing_tracked`]. Walk and repair go to `obs`.
+    fn probe(
+        &mut self,
+        cur: &DyadicBox,
+        dim: usize,
+        obs: &mut Option<Box<Ledger>>,
+    ) -> Option<DyadicBox>;
+    /// The probe whose frontier each frame saves and its 1-side restores.
+    fn saved_probe(&mut self) -> &mut DescentProbe;
+    /// Insert a box; `true` when it was not already stored.
+    fn insert(&mut self, b: &DyadicBox) -> bool;
+    /// The store's coverage epoch ([`Descent::RestartMemo`] only).
+    fn epoch(&self) -> u64;
+    /// Copy the probe counters into `stats`.
+    fn count_probes(&self, stats: &mut TetrisStats);
+}
+
+/// The sequential knowledge base: one store and its incremental probe
+/// (descents advance the last failed probe's frontier instead of
+/// re-walking the store).
+pub(crate) struct Kb {
+    pub(crate) tree: BoxTree,
+    probe: DescentProbe,
+}
+
+impl KbView for Kb {
+    #[inline]
+    fn probe(
+        &mut self,
+        cur: &DyadicBox,
+        dim: usize,
+        obs: &mut Option<Box<Ledger>>,
+    ) -> Option<DyadicBox> {
+        let repairs = self.probe.repairs;
+        let hit = self.tree.find_containing_tracked(cur, dim, &mut self.probe);
+        debug_assert_eq!(self.tree.find_containing(cur), hit);
+        if let Some(l) = obs {
+            l.observe_walk(self.probe.frontier_len() as u64);
+            observe_repair(l, &self.probe, repairs, cur);
+        }
+        hit
+    }
+
+    #[inline]
+    fn saved_probe(&mut self) -> &mut DescentProbe {
+        &mut self.probe
+    }
+
+    #[inline]
+    fn insert(&mut self, b: &DyadicBox) -> bool {
+        self.tree.insert(b)
+    }
+
+    fn epoch(&self) -> u64 {
+        self.tree.epoch()
+    }
+
+    fn count_probes(&self, stats: &mut TetrisStats) {
+        stats.probe_advances = self.probe.advances;
+        stats.probe_repairs = self.probe.repairs;
+        stats.probe_full_walks = self.probe.full_walks;
+    }
+}
+
+/// Observe the repair a tracked probe of `cur` made, if its counter moved
+/// past `repairs`. A call repairs at most once, so the repair histogram
+/// totals `probe_repairs` exactly.
+#[inline]
+pub(crate) fn observe_repair(l: &mut Ledger, probe: &DescentProbe, repairs: u64, cur: &DyadicBox) {
+    if probe.repairs > repairs {
+        l.observe_repair(probe.last_repair_window);
+        if probe.last_repair_hit {
+            l.observe_repair_hit_at(nav0(cur));
+        }
+    }
+}
+
+/// The descent loop's scheduling hook over the descent state `S`. Every
+/// method defaults to a no-op, which is the sequential driver's hook and
+/// compiles away; a parallel task's hook cancels, donates and joins.
+pub(crate) trait Sched<S> {
+    /// Called at every skeleton call; `true` stops the descent.
+    #[inline(always)]
+    fn poll(&mut self, _s: &mut S, _cur: &DyadicBox) -> bool {
+        false
+    }
+    /// The top frame's 0-side is done. `Continue(Some(w))` hands back the
+    /// witness of its donated 1-side, `Continue(None)` lets the descent
+    /// enter the 1-side itself, and `Break` stops the descent.
+    #[inline(always)]
+    fn join(&mut self, _s: &mut S) -> ControlFlow<(), Option<DyadicBox>> {
+        ControlFlow::Continue(None)
+    }
+    /// The frame at stack depth `depth` was popped, covered.
+    #[inline(always)]
+    fn popped(&mut self, _depth: usize) {}
+}
+
+/// The sequential driver's hook: no cancellation, no donation.
+struct Sequential;
+
+impl<S> Sched<S> for Sequential {}
+
 /// The Tetris solver (Algorithms 1 + 2) over any [`BoxOracle`], with the
 /// knowledge base held in a [`BoxTree`].
 ///
 /// The ambient dimensions are already in **splitting attribute order**:
 /// the skeleton always splits the first thick dimension of its target.
-pub struct Tetris<'o, O: BoxOracle + ?Sized> {
-    pub(crate) oracle: &'o O,
-    pub(crate) space: Space,
-    pub(crate) kb: BoxTree,
-    pub(crate) config: TetrisConfig,
-    pub(crate) stats: TetrisStats,
-    /// Bounded trace channel ([`TetrisConfig::trace`] only): a
-    /// fixed-capacity ring in place of the old unbounded `Vec`, so traced
-    /// runs stay usable at graph scale. `None` on untraced runs — they
-    /// allocate nothing for tracing.
-    trace: Option<obs::FlightRecorder<TraceEvent>>,
-    /// Suspended skeleton invocations, outermost first.
-    stack: Vec<Frame>,
-    /// Scratch buffer for oracle answers (reused across probes).
-    hits: Vec<DyadicBox>,
-    /// Scratch buffer for output tuples (reused across outputs).
-    point: Vec<u64>,
-    /// Incremental knowledge-base probe state (descends advance the last
-    /// failed probe's frontier instead of re-walking the store).
-    probe: DescentProbe,
-    /// Per-frame saved probe frontiers (incremental descents only):
-    /// right-sibling descents restore these and advance+repair instead of
-    /// re-walking the store.
-    frontiers: FrontierStack,
-    /// Coverage-epoch memo ([`Descent::RestartMemo`] only).
-    marks: CoverageMarks,
-    /// Dead inserts skipped by the incremental descent (checked in
-    /// debug builds).
-    dead: DeadInserts,
-    /// Observability ledger ([`TetrisConfig::obs`] only); the
-    /// `Option<Box<_>>` [`obs::ObsSink`] impl makes each observation
-    /// site a single branch when off.
-    pub(crate) obs: Option<Box<obs::Ledger>>,
-}
+pub struct Tetris<'o, O: BoxOracle + ?Sized>(pub(crate) Skeleton<'o, O, Kb>);
 
 impl<'o, O: BoxOracle + ?Sized> Tetris<'o, O> {
     /// Build an engine with explicit configuration. With
@@ -268,30 +350,18 @@ impl<'o, O: BoxOracle + ?Sized> Tetris<'o, O> {
     /// callers can time the preload (this call) and the solve (the
     /// terminal call) separately.
     pub fn with_config(oracle: &'o O, config: TetrisConfig) -> Self {
-        let space = oracle.space();
-        let mut engine = Tetris {
-            oracle,
-            space,
-            kb: BoxTree::new(space.n()),
-            config,
-            stats: TetrisStats::new(space.n()),
-            trace: recorder_for(&config),
-            stack: Vec::new(),
-            hits: Vec::new(),
-            point: Vec::new(),
+        let kb = Kb {
+            tree: BoxTree::new(oracle.space().n()),
             probe: DescentProbe::new(),
-            frontiers: FrontierStack::new(),
-            marks: CoverageMarks::new(),
-            dead: DeadInserts::default(),
-            obs: config.obs.then(Box::default),
         };
+        let mut s = Skeleton::new(oracle, kb, config);
         if config.preload {
             let novel = oracle
-                .preload_into(&mut engine.kb)
+                .preload_into(&mut s.kb.tree)
                 .expect("preloaded mode requires an enumerable oracle");
-            engine.stats.kb_inserts += novel;
+            s.stats.kb_inserts += novel;
         }
-        engine
+        Tetris(s)
     }
 
     /// `Tetris-Preloaded` (§4.3): the knowledge base starts as all of `B`.
@@ -313,46 +383,169 @@ impl<'o, O: BoxOracle + ?Sized> Tetris<'o, O> {
 
     /// Enable/disable resolvent caching (builder style).
     pub fn cache_resolvents(mut self, yes: bool) -> Self {
-        self.config.cache_resolvents = yes;
+        self.0.config.cache_resolvents = yes;
         self
     }
 
     /// Choose the descent strategy (builder style).
     pub fn descent(mut self, d: Descent) -> Self {
-        self.config.descent = d;
+        self.0.config.descent = d;
         self
     }
 
     /// Enable tracing with the default [`TraceConfig`] (builder style).
     pub fn traced(mut self) -> Self {
-        self.config.trace = Some(TraceConfig::default());
-        self.trace = recorder_for(&self.config);
+        self.0.config.trace = Some(TraceConfig::default());
+        self.0.trace = recorder_for(&self.0.config);
         self
     }
 
     /// The ambient space.
     pub fn space(&self) -> Space {
-        self.space
+        self.0.space
     }
 
     /// Current knowledge-base size (stored boxes).
     pub fn knowledge_size(&self) -> usize {
-        self.kb.len()
+        self.0.kb.tree.len()
     }
 
     /// The knowledge base's memory ledger ([`BoxTree::mem_stats`]): arena
     /// nodes, exact bytes, deepest link chain. It walks every node —
     /// meant for once-per-run reporting, not the hot path.
     pub fn mem_stats(&self) -> obs::MemStats {
-        self.kb.mem_stats()
+        self.0.kb.tree.mem_stats()
+    }
+
+    /// Algorithm 2: run to completion, collecting all output tuples.
+    pub fn run(mut self) -> TetrisOutput {
+        if let Descent::Parallel { threads } = self.0.config.descent {
+            return crate::parallel::run_parallel(self, threads, false);
+        }
+        let mut tuples = Vec::new();
+        self.solve(|t| {
+            tuples.push(t.to_vec());
+            false
+        });
+        TetrisOutput {
+            tuples,
+            stats: self.0.stats,
+            // Untraced runs carry `None` and allocate nothing here —
+            // `Vec::default()` has capacity 0 (pinned by test).
+            trace: self
+                .0
+                .trace
+                .map(obs::FlightRecorder::drain)
+                .unwrap_or_default(),
+            obs: self.0.obs,
+        }
+    }
+
+    /// Stream output tuples to a callback instead of materializing them
+    /// (outer-loop mode). Returns the final stats. Under
+    /// [`Descent::Parallel`] the tuples are materialized, merged into
+    /// their deterministic (lexicographic) order, and only then streamed.
+    pub fn for_each_output(mut self, mut f: impl FnMut(&[u64])) -> TetrisStats {
+        if let Descent::Parallel { threads } = self.0.config.descent {
+            let out = crate::parallel::run_parallel(self, threads, false);
+            for t in &out.tuples {
+                f(t);
+            }
+            return out.stats;
+        }
+        self.solve(|t| {
+            f(t);
+            false
+        });
+        self.0.stats
+    }
+
+    /// Boolean BCP (Definition 3.5): does `B` cover the whole space?
+    /// Stops at the first uncovered output point (under
+    /// [`Descent::Parallel`], at the first output any worker finds — the
+    /// Boolean answer is deterministic either way).
+    pub fn check_cover(mut self) -> (bool, TetrisStats) {
+        if let Descent::Parallel { threads } = self.0.config.descent {
+            let out = crate::parallel::run_parallel(self, threads, true);
+            return (out.tuples.is_empty(), out.stats);
+        }
+        let mut found = false;
+        self.solve(|_| {
+            found = true;
+            true
+        });
+        (!found, self.0.stats)
+    }
+
+    /// The sequential driver: one descent of the whole space (Algorithms
+    /// 1+2 fused), then the probe and recorder counters.
+    fn solve(&mut self, on_output: impl FnMut(&[u64]) -> bool) {
+        let s = &mut self.0;
+        s.stats.restarts += 1;
+        s.emit(TraceEvent::KIND_RESTART, || TraceEvent::Restart);
+        s.drive(DyadicBox::universe(s.space.n()), &mut Sequential, on_output);
+        s.sync_stats();
+    }
+}
+
+/// The state of one skeleton descent over the knowledge-base view `K`.
+pub(crate) struct Skeleton<'o, O: BoxOracle + ?Sized, K> {
+    pub(crate) oracle: &'o O,
+    pub(crate) space: Space,
+    pub(crate) kb: K,
+    pub(crate) config: TetrisConfig,
+    pub(crate) stats: TetrisStats,
+    /// Bounded trace channel ([`TetrisConfig::trace`] only): a
+    /// fixed-capacity ring in place of the old unbounded `Vec`, so traced
+    /// runs stay usable at graph scale. `None` on untraced runs — they
+    /// allocate nothing for tracing.
+    trace: Option<obs::FlightRecorder<TraceEvent>>,
+    /// Suspended skeleton invocations, outermost first.
+    pub(crate) stack: Vec<Frame>,
+    /// Scratch buffer for oracle answers (reused across probes).
+    hits: Vec<DyadicBox>,
+    /// Scratch buffer for output tuples (reused across outputs).
+    point: Vec<u64>,
+    /// Per-frame saved probe frontiers (incremental descents only):
+    /// right-sibling descents restore these and advance+repair instead of
+    /// re-walking the store.
+    frontiers: FrontierStack,
+    /// Coverage-epoch memo ([`Descent::RestartMemo`] only).
+    marks: CoverageMarks,
+    /// Dead inserts skipped by the incremental descent (checked in
+    /// debug builds).
+    dead: DeadInserts,
+    /// Observability ledger ([`TetrisConfig::obs`] only); the
+    /// `Option<Box<_>>` [`obs::ObsSink`] impl makes each observation
+    /// site a single branch when off.
+    pub(crate) obs: Option<Box<Ledger>>,
+}
+
+impl<'o, O: BoxOracle + ?Sized, K: KbView> Skeleton<'o, O, K> {
+    /// A descent of `oracle`'s space over the knowledge base `kb`.
+    pub(crate) fn new(oracle: &'o O, kb: K, config: TetrisConfig) -> Self {
+        let space = oracle.space();
+        Skeleton {
+            oracle,
+            space,
+            kb,
+            config,
+            stats: TetrisStats::new(space.n()),
+            trace: recorder_for(&config),
+            stack: Vec::new(),
+            hits: Vec::new(),
+            point: Vec::new(),
+            frontiers: FrontierStack::new(),
+            marks: CoverageMarks::new(),
+            dead: DeadInserts::default(),
+            obs: config.obs.then(Box::default),
+        }
     }
 
     /// Copy incremental-probe and flight-recorder diagnostics into the
     /// run counters.
-    fn sync_probe_stats(&mut self) {
-        self.stats.probe_advances = self.probe.advances;
-        self.stats.probe_repairs = self.probe.repairs;
-        self.stats.probe_full_walks = self.probe.full_walks;
+    pub(crate) fn sync_stats(&mut self) {
+        self.kb.count_probes(&mut self.stats);
         if let Some(r) = &self.trace {
             self.stats.trace_recorded = r.recorded();
             self.stats.trace_dropped = r.dropped();
@@ -382,79 +575,21 @@ impl<'o, O: BoxOracle + ?Sized> Tetris<'o, O> {
     /// caching; Tree Ordered runs keep the pure re-treading semantics.
     #[inline]
     fn memoizing(&self) -> bool {
-        self.restarting()
-            && self.config.descent == Descent::RestartMemo
-            && self.config.cache_resolvents
+        self.config.descent == Descent::RestartMemo && self.config.cache_resolvents
     }
 
-    /// Algorithm 2: run to completion, collecting all output tuples.
-    pub fn run(mut self) -> TetrisOutput {
-        if let Descent::Parallel { threads } = self.config.descent {
-            return crate::parallel::run_parallel(self, threads, false);
-        }
-        let mut tuples = Vec::new();
-        self.drive(|t| {
-            tuples.push(t.to_vec());
-            false
-        });
-        self.sync_probe_stats();
-        TetrisOutput {
-            tuples,
-            stats: self.stats,
-            // Untraced runs carry `None` and allocate nothing here —
-            // `Vec::default()` has capacity 0 (pinned by test).
-            trace: self
-                .trace
-                .map(obs::FlightRecorder::drain)
-                .unwrap_or_default(),
-            obs: self.obs,
-        }
-    }
-
-    /// Stream output tuples to a callback instead of materializing them
-    /// (outer-loop mode). Returns the final stats. Under
-    /// [`Descent::Parallel`] the tuples are materialized, merged into
-    /// their deterministic (lexicographic) order, and only then streamed.
-    pub fn for_each_output(mut self, mut f: impl FnMut(&[u64])) -> TetrisStats {
-        if let Descent::Parallel { threads } = self.config.descent {
-            let out = crate::parallel::run_parallel(self, threads, false);
-            for t in &out.tuples {
-                f(t);
-            }
-            return out.stats;
-        }
-        self.drive(|t| {
-            f(t);
-            false
-        });
-        self.sync_probe_stats();
-        self.stats
-    }
-
-    /// Boolean BCP (Definition 3.5): does `B` cover the whole space?
-    /// Stops at the first uncovered output point (under
-    /// [`Descent::Parallel`], at the first output any worker finds — the
-    /// Boolean answer is deterministic either way).
-    pub fn check_cover(mut self) -> (bool, TetrisStats) {
-        if let Descent::Parallel { threads } = self.config.descent {
-            let out = crate::parallel::run_parallel(self, threads, true);
-            return (out.tuples.is_empty(), out.stats);
-        }
-        let mut found = false;
-        self.drive(|_| {
-            found = true;
-            true
-        });
-        self.sync_probe_stats();
-        (!found, self.stats)
-    }
-
-    /// The unified driver: one incremental skeleton descent (Algorithms
-    /// 1+2 fused), with optional paper-literal restarts. `on_output`
-    /// receives each tuple and returns `true` to stop (Boolean mode).
-    fn drive(&mut self, mut on_output: impl FnMut(&[u64]) -> bool) {
-        let universe = DyadicBox::universe(self.space.n());
-        let mut cur = universe;
+    /// The one descent loop: an incremental skeleton descent of `target`
+    /// (Algorithms 1+2 fused), with optional paper-literal restarts.
+    /// `on_output` receives each tuple and returns `true` to stop
+    /// (Boolean mode). Returns a box covering `target`, or `None` when
+    /// `on_output` or `hook` stopped the descent.
+    pub(crate) fn drive<H: Sched<Self>>(
+        &mut self,
+        target: DyadicBox,
+        hook: &mut H,
+        mut on_output: impl FnMut(&[u64]) -> bool,
+    ) -> Option<DyadicBox> {
+        let mut cur = target;
         // `saving` is the incremental descent, the only one that keeps
         // frames across events. Only then do frame-saved frontiers pay
         // off (the restart modes tear the stack down, and RestartMemo may
@@ -472,14 +607,17 @@ impl<'o, O: BoxOracle + ?Sized> Tetris<'o, O> {
         // contains no later probe target. Both drops are witness-exact:
         // a subsumed box's probes are answered by the DFS-earlier
         // subsuming box, and a dead box answers none (see DESIGN.md §8).
+        // A stopped descent probes nothing further, so it drops the
+        // in-flight resolvent.
         let mut pending: Option<DyadicBox> = None;
-        self.stats.restarts += 1;
-        self.emit(TraceEvent::KIND_RESTART, || TraceEvent::Restart);
         'descend: loop {
             // ── descend: drill into `cur` until a covering witness is
             // known or an uncovered unit box is absorbed.
             let mut witness = loop {
                 self.stats.skeleton_calls += 1;
+                if hook.poll(self, &cur) {
+                    return None;
+                }
                 let thick = cur.first_thick_dim(&self.space);
                 let probe_dim = thick.unwrap_or(self.space.n() - 1);
                 let mut known_uncovered = false;
@@ -503,21 +641,7 @@ impl<'o, O: BoxOracle + ?Sized> Tetris<'o, O> {
                 if !known_uncovered {
                     self.stats.kb_queries += 1;
                     self.dead.check_probe(&cur);
-                    let repairs_before = self.probe.repairs;
-                    let hit = self
-                        .kb
-                        .find_containing_tracked(&cur, probe_dim, &mut self.probe);
-                    if let Some(l) = &mut self.obs {
-                        l.observe_walk(self.probe.frontier_len() as u64);
-                        if self.probe.repairs > repairs_before {
-                            l.observe_repair(self.probe.last_repair_window);
-                            if self.probe.last_repair_hit {
-                                l.observe_repair_hit_at(nav0(&cur));
-                            }
-                        }
-                    }
-                    if let Some(a) = hit {
-                        debug_assert_eq!(self.kb.find_containing(&cur), Some(a));
+                    if let Some(a) = self.kb.probe(&cur, probe_dim, &mut self.obs) {
                         self.emit(TraceEvent::KIND_COVERED, || TraceEvent::CoveredBy {
                             target: cur,
                             witness: a,
@@ -527,7 +651,6 @@ impl<'o, O: BoxOracle + ?Sized> Tetris<'o, O> {
                         }
                         break a;
                     }
-                    debug_assert!(self.kb.find_containing(&cur).is_none());
                     if self.memoizing() {
                         let epoch = self.kb.epoch();
                         self.marks.mark_uncovered(&cur, &self.space, epoch);
@@ -549,7 +672,7 @@ impl<'o, O: BoxOracle + ?Sized> Tetris<'o, O> {
                         // The probe for `cur` just failed, so its frontier
                         // describes this frame's target; the 1-side
                         // descent will restore it instead of re-walking.
-                        self.frontiers.push_saved(&self.probe);
+                        self.frontiers.push_saved(self.kb.saved_probe());
                     }
                     cur.set(dim, iv.child(0));
                     continue;
@@ -558,12 +681,12 @@ impl<'o, O: BoxOracle + ?Sized> Tetris<'o, O> {
                 // report it as output), then either resume in place or
                 // tear down and restart per the descent strategy.
                 match self.absorb(&cur, &mut on_output) {
-                    Absorb::Stop => return,
+                    Absorb::Stop => return None,
                     Absorb::Witness(w) => break w,
                     Absorb::Restart => {
                         self.stack.clear();
                         self.frontiers.clear();
-                        cur = universe;
+                        cur = target;
                         self.stats.restarts += 1;
                         self.emit(TraceEvent::KIND_RESTART, || TraceEvent::Restart);
                         continue 'descend;
@@ -573,11 +696,11 @@ impl<'o, O: BoxOracle + ?Sized> Tetris<'o, O> {
             // ── unwind: feed the witness to the suspended frames.
             loop {
                 let Some(&top) = self.stack.last() else {
-                    debug_assert!(witness.contains(&universe));
+                    debug_assert!(witness.contains(&target));
                     if let Some(p) = pending.take() {
                         self.store_resolvent(&p);
                     }
-                    return; // the whole space is covered
+                    return Some(witness); // the whole target is covered
                 };
                 if top.covered_by(&witness, &cur) {
                     if self.memoizing() {
@@ -585,6 +708,7 @@ impl<'o, O: BoxOracle + ?Sized> Tetris<'o, O> {
                         self.marks.mark_covered(&t, &self.space, witness);
                     }
                     self.stack.pop();
+                    hook.popped(self.stack.len());
                     if saving {
                         self.frontiers.pop();
                     }
@@ -593,9 +717,20 @@ impl<'o, O: BoxOracle + ?Sized> Tetris<'o, O> {
                 let dim = top.dim as usize;
                 match top.w1 {
                     None => {
-                        // 0-side done; descend into the 1-side.
-                        let parent = top.target(&cur);
+                        // 0-side done.
+                        let ControlFlow::Continue(stolen) = hook.join(self) else {
+                            return None;
+                        };
                         self.stack.last_mut().expect("frame just read").w1 = Some(witness);
+                        if let Some(w) = stolen {
+                            // A thief ran the 1-side: its witness is the
+                            // 1-side witness, so the next turn pops the
+                            // frame or resolves with it.
+                            witness = w;
+                            continue;
+                        }
+                        // Descend into the 1-side.
+                        let parent = top.target(&cur);
                         cur.set(dim, cur.get(dim).truncate(top.len).child(1));
                         for i in dim + 1..self.space.n() {
                             cur.set(i, DyadicInterval::lambda());
@@ -606,7 +741,7 @@ impl<'o, O: BoxOracle + ?Sized> Tetris<'o, O> {
                         // the next probe targets a different dimension and
                         // could not use the frontier anyway.
                         if saving && u16::from(top.len) + 1 < u16::from(self.space.width(dim)) {
-                            self.frontiers.restore_top(&parent, &mut self.probe);
+                            self.frontiers.restore_top(&parent, self.kb.saved_probe());
                         }
                         // Leaving the unwind: materialize the in-flight
                         // resolvent before the 1-side descent probes,
@@ -670,7 +805,9 @@ impl<'o, O: BoxOracle + ?Sized> Tetris<'o, O> {
     }
 
     /// Handle an uncovered unit box: report it as output or load its
-    /// covering gap boxes.
+    /// covering gap boxes. Outputs are decided by `B` alone (the oracle,
+    /// or the preloaded store), which is what makes the parallel output
+    /// set scheduling-independent.
     fn absorb(&mut self, cur: &DyadicBox, on_output: &mut impl FnMut(&[u64]) -> bool) -> Absorb {
         let restarting = self.restarting();
         if restarting {

@@ -97,8 +97,8 @@ impl TetrisStats {
         }
     }
 
-    /// Merge counters from a sub-run (used when the online LB engine
-    /// restarts with fresh partitions).
+    /// Merge counters from a sub-run: every parallel task's report, or
+    /// the online LB engine's run before it rebuilds its partitions.
     pub fn absorb(&mut self, other: &TetrisStats) {
         self.resolutions += other.resolutions;
         self.splits += other.splits;

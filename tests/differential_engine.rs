@@ -222,8 +222,10 @@ fn parallel_descent_matches_sequential_on_random_spaces() {
 /// the sequential incremental descent run against its overlay shard. On
 /// a reloaded run the frozen base is empty, so every probe sees the same
 /// store and must return the same witness: the two drivers then agree
-/// counter for counter. This pins that they share one witness policy
-/// (`best_witness` breaks depth ties by volume) and one dead-insert rule.
+/// counter for counter. This pins that they run one descent loop: one
+/// witness policy (`best_witness` breaks depth ties by volume) and one
+/// dead-insert rule, with resolvent caching on and off (Tree-Ordered
+/// resolution, §5.1).
 #[test]
 fn parallel_one_worker_matches_sequential_counters() {
     let counters = |s: &TetrisStats| {
@@ -243,18 +245,25 @@ fn parallel_one_worker_matches_sequential_counters() {
         let count = rng.gen_range(0..=80);
         let boxes: Vec<DyadicBox> = (0..count).map(|_| random_box(&mut rng, &space)).collect();
         let oracle = SetOracle::new(space, boxes);
-        let seq = Tetris::reloaded(&oracle).run();
-        let par = Tetris::reloaded(&oracle)
-            .descent(Descent::Parallel { threads: 1 })
-            .run();
-        assert_eq!(par.tuples, seq.tuples, "seed {seed}: outputs differ");
-        assert_eq!(
-            counters(&par.stats),
-            counters(&seq.stats),
-            "seed {seed}: (resolutions, kb_queries, oracle_probes, kb_inserts, \
-             kb_insert_skips) differ between one parallel worker and the \
-             sequential driver (space {widths:?})"
-        );
+        for cache in [true, false] {
+            let seq = Tetris::reloaded(&oracle).cache_resolvents(cache).run();
+            let par = Tetris::reloaded(&oracle)
+                .cache_resolvents(cache)
+                .descent(Descent::Parallel { threads: 1 })
+                .run();
+            assert_eq!(
+                par.tuples, seq.tuples,
+                "seed {seed} cache={cache}: outputs differ"
+            );
+            assert_eq!(
+                counters(&par.stats),
+                counters(&seq.stats),
+                "seed {seed} cache={cache}: (resolutions, kb_queries, \
+                 oracle_probes, kb_inserts, kb_insert_skips) differ between \
+                 one parallel worker and the sequential driver (space \
+                 {widths:?})"
+            );
+        }
     }
 }
 
