@@ -115,7 +115,7 @@ fn t1_acyclic() {
     // N+Z let EXPERIMENTS.md name the hot subtrees instead of guessing.
     println!(
         "attribution by A-subtree (k={} prefix bits; res/re_res per prefix, hottest-at-largest-N first):",
-        attrs.last().map_or(0, |(_, a)| a.prefix_bits()),
+        obs::ATTR_PREFIX_BITS,
     );
     if let Some((_, last)) = attrs.last() {
         for (row, _) in last.top_k(6) {

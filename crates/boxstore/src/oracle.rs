@@ -84,11 +84,6 @@ pub trait BoxOracle: Sync {
         })
         .then_some(novel)
     }
-
-    /// Optional size hint: `|B|` when known.
-    fn size_hint(&self) -> Option<usize> {
-        None
-    }
 }
 
 /// A [`BoxOracle`] over an explicit, materialized box set.
@@ -151,10 +146,6 @@ impl BoxOracle for SetOracle {
         }
         true
     }
-
-    fn size_hint(&self) -> Option<usize> {
-        Some(self.boxes.len())
-    }
 }
 
 #[cfg(test)]
@@ -169,7 +160,6 @@ mod tests {
     fn set_oracle_answers_point_probes() {
         let space = Space::uniform(2, 2);
         let o = SetOracle::new(space, vec![b("λ,0"), b("00,λ"), b("λ,11"), b("10,1")]);
-        assert_eq!(o.size_hint(), Some(4));
         // Figure 10: ⟨01,10⟩ is uncovered.
         assert!(o.boxes_containing(&b("01,10")).is_empty());
         // ⟨01,00⟩ is covered by ⟨λ,0⟩.

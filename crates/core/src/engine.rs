@@ -22,10 +22,10 @@
 //! every [`Descent::Parallel`] task runs it on a frozen base plus an
 //! overlay shard with a hook that cancels, donates and joins.
 
-use crate::{TetrisStats, TraceConfig, TraceEvent};
+use crate::{TetrisStats, TraceEvent};
 use boxstore::{BoxOracle, BoxTree, CoverProbe, CoverageMarks, DescentProbe, FrontierStack};
 use dyadic::{resolve::ordered_resolve, DyadicBox, DyadicInterval, Space};
-use obs::{Ledger, ObsSink};
+use obs::Ledger;
 use std::ops::ControlFlow;
 
 /// How the engine walks the skeleton between knowledge-base changes.
@@ -79,11 +79,12 @@ pub struct TetrisConfig {
     pub cache_resolvents: bool,
     /// Descent strategy between knowledge-base changes.
     pub descent: Descent,
-    /// Record [`TraceEvent`]s through a bounded [`obs::FlightRecorder`]
-    /// ring sized and filtered by the [`TraceConfig`] (`None` = untraced,
-    /// the default). The ring accounts for everything it evicts, so
-    /// tracing is safe at graph scale — no unbounded `Vec` growth.
-    pub trace: Option<TraceConfig>,
+    /// Record every [`TraceEvent`] into a bounded [`obs::FlightRecorder`]
+    /// ring of [`obs::DEFAULT_TRACE_CAPACITY`] events (off by default).
+    /// The ring keeps the tail of the run and counts everything it
+    /// evicts, so tracing is safe at graph scale — no unbounded `Vec`
+    /// growth. Sequential descents only.
+    pub trace: bool,
     /// Collect an [`obs::Ledger`] of phase spans and power-of-two
     /// histograms (resolution depth, probe walk length, repair window,
     /// donated-shard size) alongside the counters. Off by default: with
@@ -100,7 +101,7 @@ impl Default for TetrisConfig {
             preload: false,
             cache_resolvents: true,
             descent: Descent::Incremental,
-            trace: None,
+            trace: false,
             obs: false,
         }
     }
@@ -212,14 +213,6 @@ impl DeadInserts {
     }
 }
 
-/// Build the bounded trace channel a config asks for (`None` when
-/// untraced — those runs allocate nothing for tracing).
-fn recorder_for(config: &TetrisConfig) -> Option<obs::FlightRecorder<TraceEvent>> {
-    config
-        .trace
-        .map(|t| obs::FlightRecorder::with_policy(t.capacity.get(), t.kinds, t.depth_floor))
-}
-
 /// The dimension-0 navigation word of a box — the attribution ledger's
 /// row key. The obs crate is dyadic-free, so observation sites hand in
 /// the raw `u64` word.
@@ -269,7 +262,7 @@ impl KbView for Kb {
         let hit = self.tree.find_containing_tracked(cur, dim, &mut self.probe);
         debug_assert_eq!(self.tree.find_containing(cur), hit);
         if let Some(l) = obs {
-            l.observe_walk(self.probe.frontier_len() as u64);
+            l.walk.observe(self.probe.frontier_len() as u64);
             observe_repair(l, &self.probe, repairs, cur);
         }
         hit
@@ -302,9 +295,9 @@ impl KbView for Kb {
 #[inline]
 pub(crate) fn observe_repair(l: &mut Ledger, probe: &DescentProbe, repairs: u64, cur: &DyadicBox) {
     if probe.repairs > repairs {
-        l.observe_repair(probe.last_repair_window);
+        l.repair.observe(probe.last_repair_window);
         if probe.last_repair_hit {
-            l.observe_repair_hit_at(nav0(cur));
+            l.attr.count_repair_hit(nav0(cur));
         }
     }
 }
@@ -393,21 +386,16 @@ impl<'o, O: BoxOracle + ?Sized> Tetris<'o, O> {
         self
     }
 
-    /// Enable tracing with the default [`TraceConfig`] (builder style).
+    /// Enable tracing (builder style).
     pub fn traced(mut self) -> Self {
-        self.0.config.trace = Some(TraceConfig::default());
-        self.0.trace = recorder_for(&self.0.config);
+        self.0.config.trace = true;
+        self.0.trace = Some(obs::FlightRecorder::new());
         self
     }
 
     /// The ambient space.
     pub fn space(&self) -> Space {
         self.0.space
-    }
-
-    /// Current knowledge-base size (stored boxes).
-    pub fn knowledge_size(&self) -> usize {
-        self.0.kb.tree.len()
     }
 
     /// The knowledge base's memory ledger ([`BoxTree::mem_stats`]): arena
@@ -482,7 +470,7 @@ impl<'o, O: BoxOracle + ?Sized> Tetris<'o, O> {
     fn solve(&mut self, on_output: impl FnMut(&[u64]) -> bool) {
         let s = &mut self.0;
         s.stats.restarts += 1;
-        s.emit(TraceEvent::KIND_RESTART, || TraceEvent::Restart);
+        s.emit(|| TraceEvent::Restart);
         s.drive(DyadicBox::universe(s.space.n()), &mut Sequential, on_output);
         s.sync_stats();
     }
@@ -495,9 +483,8 @@ pub(crate) struct Skeleton<'o, O: BoxOracle + ?Sized, K> {
     pub(crate) kb: K,
     pub(crate) config: TetrisConfig,
     pub(crate) stats: TetrisStats,
-    /// Bounded trace channel ([`TetrisConfig::trace`] only): a
-    /// fixed-capacity ring in place of the old unbounded `Vec`, so traced
-    /// runs stay usable at graph scale. `None` on untraced runs — they
+    /// Bounded trace ring ([`TetrisConfig::trace`] only), so traced runs
+    /// stay usable at graph scale. `None` on untraced runs — they
     /// allocate nothing for tracing.
     trace: Option<obs::FlightRecorder<TraceEvent>>,
     /// Suspended skeleton invocations, outermost first.
@@ -515,9 +502,8 @@ pub(crate) struct Skeleton<'o, O: BoxOracle + ?Sized, K> {
     /// Dead inserts skipped by the incremental descent (checked in
     /// debug builds).
     dead: DeadInserts,
-    /// Observability ledger ([`TetrisConfig::obs`] only); the
-    /// `Option<Box<_>>` [`obs::ObsSink`] impl makes each observation
-    /// site a single branch when off.
+    /// Observability ledger ([`TetrisConfig::obs`] only): each
+    /// observation site is a single `if let` on it, one branch when off.
     pub(crate) obs: Option<Box<Ledger>>,
 }
 
@@ -531,7 +517,7 @@ impl<'o, O: BoxOracle + ?Sized, K: KbView> Skeleton<'o, O, K> {
             kb,
             config,
             stats: TetrisStats::new(space.n()),
-            trace: recorder_for(&config),
+            trace: config.trace.then(obs::FlightRecorder::new),
             stack: Vec::new(),
             hits: Vec::new(),
             point: Vec::new(),
@@ -553,14 +539,11 @@ impl<'o, O: BoxOracle + ?Sized, K: KbView> Skeleton<'o, O, K> {
     }
 
     /// Trace only when enabled — the event is never even constructed on
-    /// untraced runs, or when the recorder's kind mask / depth floor
-    /// rejects it (hot-path allocation/copy discipline). `kind` is the
-    /// event's [`TraceEvent::kind`] index; the depth offered is the
-    /// current descent-stack height.
+    /// untraced runs (hot-path allocation/copy discipline).
     #[inline]
-    fn emit(&mut self, kind: u32, f: impl FnOnce() -> TraceEvent) {
+    fn emit(&mut self, f: impl FnOnce() -> TraceEvent) {
         if let Some(r) = &mut self.trace {
-            r.record(kind, self.stack.len() as u64, f);
+            r.record(f());
         }
     }
 
@@ -625,7 +608,7 @@ impl<'o, O: BoxOracle + ?Sized, K: KbView> Skeleton<'o, O, K> {
                     match self.marks.probe(&cur, &self.space, self.kb.epoch()) {
                         CoverProbe::Covered(w) => {
                             self.stats.mark_hits += 1;
-                            self.emit(TraceEvent::KIND_COVERED, || TraceEvent::CoveredBy {
+                            self.emit(|| TraceEvent::CoveredBy {
                                 target: cur,
                                 witness: w,
                             });
@@ -642,7 +625,7 @@ impl<'o, O: BoxOracle + ?Sized, K: KbView> Skeleton<'o, O, K> {
                     self.stats.kb_queries += 1;
                     self.dead.check_probe(&cur);
                     if let Some(a) = self.kb.probe(&cur, probe_dim, &mut self.obs) {
-                        self.emit(TraceEvent::KIND_COVERED, || TraceEvent::CoveredBy {
+                        self.emit(|| TraceEvent::CoveredBy {
                             target: cur,
                             witness: a,
                         });
@@ -658,10 +641,7 @@ impl<'o, O: BoxOracle + ?Sized, K: KbView> Skeleton<'o, O, K> {
                 }
                 if let Some(dim) = thick {
                     self.stats.splits += 1;
-                    self.emit(TraceEvent::KIND_SPLIT, || TraceEvent::Split {
-                        target: cur,
-                        dim,
-                    });
+                    self.emit(|| TraceEvent::Split { target: cur, dim });
                     let iv = cur.get(dim);
                     self.stack.push(Frame {
                         dim: dim as u8,
@@ -688,7 +668,7 @@ impl<'o, O: BoxOracle + ?Sized, K: KbView> Skeleton<'o, O, K> {
                         self.frontiers.clear();
                         cur = target;
                         self.stats.restarts += 1;
-                        self.emit(TraceEvent::KIND_RESTART, || TraceEvent::Restart);
+                        self.emit(|| TraceEvent::Restart);
                         continue 'descend;
                     }
                 }
@@ -761,10 +741,10 @@ impl<'o, O: BoxOracle + ?Sized, K: KbView> Skeleton<'o, O, K> {
                         );
                         self.stats.count_resolution(dim);
                         if let Some(l) = &mut self.obs {
-                            l.observe_depth(self.stack.len() as u64);
-                            l.observe_resolution_at(nav0(&w));
+                            l.depth.observe(self.stack.len() as u64);
+                            l.attr.count_resolution(nav0(&w));
                         }
-                        self.emit(TraceEvent::KIND_RESOLVE, || TraceEvent::Resolve {
+                        self.emit(|| TraceEvent::Resolve {
                             w1,
                             w2: witness,
                             result: w,
@@ -795,12 +775,12 @@ impl<'o, O: BoxOracle + ?Sized, K: KbView> Skeleton<'o, O, K> {
         if self.kb.insert(p) {
             self.stats.kb_inserts += 1;
             if let Some(l) = &mut self.obs {
-                l.observe_insert_at(nav0(p));
+                l.attr.count_insert(nav0(p));
             }
         } else if let Some(l) = &mut self.obs {
             // The resolvent re-derived a box the store already holds
             // verbatim — the T1.1 re-resolution signal.
-            l.observe_re_resolution_at(nav0(p));
+            l.attr.count_re_resolution(nav0(p));
         }
     }
 
@@ -811,7 +791,7 @@ impl<'o, O: BoxOracle + ?Sized, K: KbView> Skeleton<'o, O, K> {
     fn absorb(&mut self, cur: &DyadicBox, on_output: &mut impl FnMut(&[u64]) -> bool) -> Absorb {
         let restarting = self.restarting();
         if restarting {
-            self.emit(TraceEvent::KIND_UNCOVERED, || TraceEvent::Uncovered(*cur));
+            self.emit(|| TraceEvent::Uncovered(*cur));
         }
         let mut hits = std::mem::take(&mut self.hits);
         if self.config.preload {
@@ -831,7 +811,7 @@ impl<'o, O: BoxOracle + ?Sized, K: KbView> Skeleton<'o, O, K> {
         }
         let out = if hits.is_empty() {
             self.stats.outputs += 1;
-            self.emit(TraceEvent::KIND_OUTPUT, || TraceEvent::Output(*cur));
+            self.emit(|| TraceEvent::Output(*cur));
             let mut point = std::mem::take(&mut self.point);
             cur.write_point(&self.space, &mut point);
             let stop = on_output(&point);
@@ -842,7 +822,7 @@ impl<'o, O: BoxOracle + ?Sized, K: KbView> Skeleton<'o, O, K> {
                 if self.kb.insert(cur) {
                     self.stats.kb_inserts += 1;
                     if let Some(l) = &mut self.obs {
-                        l.observe_insert_at(nav0(cur));
+                        l.attr.count_insert(nav0(cur));
                     }
                 }
             } else {
@@ -859,17 +839,14 @@ impl<'o, O: BoxOracle + ?Sized, K: KbView> Skeleton<'o, O, K> {
             }
         } else {
             let count = hits.len();
-            self.emit(TraceEvent::KIND_LOAD, || TraceEvent::Load {
-                probe: *cur,
-                count,
-            });
+            self.emit(|| TraceEvent::Load { probe: *cur, count });
             for h in &hits {
                 debug_assert!(h.contains(cur), "oracle returned a non-covering box");
                 if self.kb.insert(h) {
                     self.stats.kb_inserts += 1;
                     self.stats.loaded_boxes += 1;
                     if let Some(l) = &mut self.obs {
-                        l.observe_insert_at(nav0(h));
+                        l.attr.count_insert(nav0(h));
                     }
                 }
             }
@@ -1131,105 +1108,29 @@ mod tests {
         assert_eq!(plain.stats.trace_dropped, 0);
     }
 
-    /// The default config, traced through `trace`.
-    fn traced_with(trace: TraceConfig) -> TetrisConfig {
-        TetrisConfig {
-            trace: Some(trace),
-            ..Default::default()
-        }
-    }
-
     #[test]
-    fn tiny_trace_ring_keeps_the_tail_and_counts_drops() {
-        let oracle = example_4_4_oracle();
-        // Reference: an unbounded-enough ring holds every event.
-        let full = Tetris::reloaded(&oracle).traced().run();
-        let total = full.trace.len() as u64;
-        assert_eq!(full.stats.trace_recorded, total);
-        assert_eq!(full.stats.trace_dropped, 0);
-        // A tiny ring wraps: it keeps exactly the most recent `cap`
-        // events and accounts for every eviction.
-        for cap in [1usize, 2, 4, 7] {
-            let capacity = std::num::NonZeroUsize::new(cap).unwrap();
-            let out = Tetris::with_config(
-                &oracle,
-                traced_with(TraceConfig {
-                    capacity,
-                    ..Default::default()
-                }),
-            )
-            .run();
-            let kept = (total as usize).min(cap);
-            assert_eq!(out.trace.len(), kept, "cap {cap}");
-            assert_eq!(out.stats.trace_recorded, total, "cap {cap}");
-            assert_eq!(out.stats.trace_dropped, total - kept as u64, "cap {cap}");
-            // The survivors are the *tail* of the full event stream, in
-            // order — a flight recorder keeps the most recent history.
-            assert_eq!(
-                out.trace,
-                full.trace[full.trace.len() - kept..],
-                "cap {cap}"
-            );
-        }
-    }
-
-    #[test]
-    fn trace_kind_mask_and_depth_floor_filter_without_counting_drops() {
-        let oracle = example_4_4_oracle();
-        let full = Tetris::reloaded(&oracle).traced().run();
-        let resolves = full
-            .trace
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::Resolve { .. }))
-            .count() as u64;
-        assert!(resolves > 0);
-        // Mask down to Resolve events only: filtered events are never
-        // constructed, never recorded, and never counted as drops.
-        let masked = Tetris::with_config(
-            &oracle,
-            traced_with(TraceConfig {
-                kinds: 1 << TraceEvent::KIND_RESOLVE,
-                ..Default::default()
-            }),
-        )
-        .run();
-        assert!(masked
-            .trace
-            .iter()
-            .all(|e| matches!(e, TraceEvent::Resolve { .. })));
-        assert_eq!(masked.stats.trace_recorded, resolves);
-        assert_eq!(masked.stats.trace_dropped, 0);
-        // A depth floor above the whole run records nothing; stats stay
-        // identical to the untraced run apart from the recorder fields.
-        let floored = Tetris::with_config(
-            &oracle,
-            traced_with(TraceConfig {
-                depth_floor: 64,
-                ..Default::default()
-            }),
-        )
-        .run();
-        assert!(floored.trace.is_empty());
-        assert_eq!(floored.stats.trace_recorded, 0);
-        // Floor 1 drops exactly the depth-0 events (the restarts and any
-        // top-of-stack steps) while keeping the deep resolution region.
-        let floor1 = Tetris::with_config(
-            &oracle,
-            traced_with(TraceConfig {
-                depth_floor: 1,
-                ..Default::default()
-            }),
-        )
-        .run();
-        assert!(!floor1
-            .trace
-            .iter()
-            .any(|e| matches!(e, TraceEvent::Restart)));
-        assert!(floor1.stats.trace_recorded < full.stats.trace_recorded);
-        assert!(floor1
-            .trace
-            .iter()
-            .any(|e| matches!(e, TraceEvent::Resolve { .. })));
+    fn overflowing_trace_ring_keeps_the_tail_and_counts_drops() {
+        // An empty 2 × 8-bit space has 65,536 outputs, so its trace
+        // overflows the ring.
+        let oracle = SetOracle::new(Space::uniform(2, 8), Vec::<DyadicBox>::new());
+        let out = Tetris::reloaded(&oracle).traced().run();
+        assert_eq!(out.stats.outputs, 1 << 16);
+        assert_eq!(out.trace.len(), obs::DEFAULT_TRACE_CAPACITY);
+        assert!(out.stats.trace_dropped > 0);
+        assert_eq!(
+            out.stats.trace_recorded - out.stats.trace_dropped,
+            out.trace.len() as u64
+        );
+        // The ring keeps the tail of the run: its last resolution derives
+        // the universe box.
+        assert!(
+            matches!(
+                out.trace.last(),
+                Some(TraceEvent::Resolve { result, .. }) if *result == b("λ,λ")
+            ),
+            "last event: {:?}",
+            out.trace.last()
+        );
     }
 
     #[test]

@@ -60,7 +60,7 @@ mod trace;
 pub use engine::{Descent, Tetris, TetrisConfig, TetrisOutput};
 pub use parallel::MERGE_CAP;
 pub use stats::TetrisStats;
-pub use trace::{TraceConfig, TraceEvent};
+pub use trace::TraceEvent;
 
 /// The most join variables (dimensions) a query may have.
 pub use dyadic::MAX_DIMS;

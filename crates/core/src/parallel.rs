@@ -58,7 +58,7 @@ use crate::{TetrisConfig, TetrisStats};
 use boxstore::{BoxOracle, BoxTree, DescentProbe};
 use dyadic::DyadicBox;
 use executor::{Pool, Worker};
-use obs::{Ledger, ObsSink, Phase};
+use obs::{Ledger, Phase};
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -179,7 +179,7 @@ pub(crate) fn run_parallel<O: BoxOracle + ?Sized>(
         ..
     } = engine.0;
     assert!(
-        config.trace.is_none(),
+        !config.trace,
         "tracing is not supported under Descent::Parallel (event order \
          would depend on scheduling); trace a sequential descent instead"
     );
@@ -261,7 +261,7 @@ impl KbView for Overlay<'_> {
         // One walk observation per KB query: the frontier entries across
         // whichever probes ran for it.
         if let Some(l) = obs {
-            l.observe_walk(walk as u64);
+            l.walk.observe(walk as u64);
             observe_repair(l, &self.base_probe, repairs.0, cur);
             observe_repair(l, &self.shard_probe, repairs.1, cur);
         }
@@ -393,7 +393,7 @@ impl<'a, O: BoxOracle + ?Sized> TaskHook<'_, '_, O> {
             // refilling, so a recycled store starts exact.
             s.kb.shard.extract_intersecting_into(&side1, &mut seed);
             if let Some(l) = &mut s.obs {
-                l.observe_donation(seed.len() as u64);
+                l.donation.observe(seed.len() as u64);
             }
             let cell = Arc::new(DonationCell::new());
             self.donated.push((depth, cell.clone()));
@@ -418,7 +418,7 @@ impl<'a, O: BoxOracle + ?Sized> TaskHook<'_, '_, O> {
                 // count toward `kb_inserts`) but not re-derivations, so
                 // a duplicate here is *not* a re-resolution.
                 if let Some(l) = &mut s.obs {
-                    l.observe_insert_at(nav0(&b));
+                    l.attr.count_insert(nav0(&b));
                 }
                 // Propagate further up the donation chain if it also
                 // escapes *our* target.

@@ -3,41 +3,9 @@
 
 use dyadic::DyadicBox;
 use std::fmt;
-use std::num::NonZeroUsize;
 
-/// What a traced run records ([`crate::TetrisConfig::trace`]): the
-/// bounded [`obs::FlightRecorder`] ring's capacity and its two
-/// pre-filters.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TraceConfig {
-    /// Ring capacity: the run keeps its most recent `capacity` accepted
-    /// events and accounts for everything it evicts
-    /// (`TetrisStats::trace_recorded` / `trace_dropped`). The default,
-    /// [`obs::DEFAULT_TRACE_CAPACITY`], holds every worked paper example
-    /// without wrapping.
-    pub capacity: NonZeroUsize,
-    /// Event-kind bitmask (bit positions are the [`TraceEvent::kind`]
-    /// indices; default all kinds). A masked-out event is never even
-    /// constructed.
-    pub kinds: u32,
-    /// Minimum descent-stack depth for an event to be recorded (default
-    /// 0 = everything). Raising the floor focuses the ring on the deep
-    /// leaf-level region — exactly where the T1.1 re-resolution blowup
-    /// lives (EXPERIMENTS.md §12–§13).
-    pub depth_floor: u64,
-}
-
-impl Default for TraceConfig {
-    fn default() -> Self {
-        TraceConfig {
-            capacity: NonZeroUsize::new(obs::DEFAULT_TRACE_CAPACITY).expect("positive capacity"),
-            kinds: u32::MAX,
-            depth_floor: 0,
-        }
-    }
-}
-
-/// One step of a Tetris execution, recorded when tracing is enabled.
+/// One step of a Tetris execution, recorded when
+/// [`crate::TetrisConfig::trace`] is set.
 // Since the MAX_DIMS=8 repack a DyadicBox is small enough that even the
 // three-box `Resolve` variant sits under clippy's large-variant
 // threshold, so the variants stay unboxed with no lint exception.
@@ -81,39 +49,6 @@ pub enum TraceEvent {
     },
     /// A tuple was reported as join/BCP output.
     Output(DyadicBox),
-}
-
-impl TraceEvent {
-    /// Kind index of [`TraceEvent::Restart`] (flight-recorder mask bit).
-    pub const KIND_RESTART: u32 = 0;
-    /// Kind index of [`TraceEvent::CoveredBy`].
-    pub const KIND_COVERED: u32 = 1;
-    /// Kind index of [`TraceEvent::Split`].
-    pub const KIND_SPLIT: u32 = 2;
-    /// Kind index of [`TraceEvent::Uncovered`].
-    pub const KIND_UNCOVERED: u32 = 3;
-    /// Kind index of [`TraceEvent::Resolve`].
-    pub const KIND_RESOLVE: u32 = 4;
-    /// Kind index of [`TraceEvent::Load`].
-    pub const KIND_LOAD: u32 = 5;
-    /// Kind index of [`TraceEvent::Output`].
-    pub const KIND_OUTPUT: u32 = 6;
-    /// Mask with every kind bit set (the flight recorder's default).
-    pub const KIND_MASK_ALL: u32 = (1 << 7) - 1;
-
-    /// This event's kind index — its bit position in a flight-recorder
-    /// kind mask ([`TraceConfig::kinds`]).
-    pub fn kind(&self) -> u32 {
-        match self {
-            TraceEvent::Restart => Self::KIND_RESTART,
-            TraceEvent::CoveredBy { .. } => Self::KIND_COVERED,
-            TraceEvent::Split { .. } => Self::KIND_SPLIT,
-            TraceEvent::Uncovered(_) => Self::KIND_UNCOVERED,
-            TraceEvent::Resolve { .. } => Self::KIND_RESOLVE,
-            TraceEvent::Load { .. } => Self::KIND_LOAD,
-            TraceEvent::Output(_) => Self::KIND_OUTPUT,
-        }
-    }
 }
 
 impl fmt::Display for TraceEvent {

@@ -7,13 +7,11 @@
 //!
 //! # Design
 //!
-//! * Observations go through the [`ObsSink`] trait, whose methods all
-//!   default to no-ops. The engine stores an `Option<Box<Ledger>>`
-//!   (`None` unless `TetrisConfig::obs` is set), and the blanket
-//!   [`ObsSink`] impls for `Option<T>` and `Box<T>` turn every call
-//!   site into a single `is_some` branch when metrics are off — no
-//!   allocation, no locks, no time syscalls. [`NullSink`] is the
-//!   zero-sized witness that a sink can compile to nothing at all.
+//! * A [`Ledger`] is plain data with public fields. The engine holds an
+//!   `Option<Box<Ledger>>` (`None` unless `TetrisConfig::obs` is set),
+//!   and each observation site writes the field it observes behind one
+//!   `if let Some(l)` — no allocation, no locks, no time syscalls when
+//!   metrics are off.
 //! * Each worker owns its own [`Ledger`]; parallel runs merge them with
 //!   [`Ledger::absorb`] when task reports are collected — exactly the
 //!   `TetrisStats::absorb` discipline, so the hot path never touches a
@@ -25,9 +23,8 @@
 //!   (millions) with no configuration.
 //! * The [`FlightRecorder`] is generic over its event type (this crate
 //!   sits below the crate that defines the engine's trace events): a
-//!   fixed-capacity ring that keeps the **most recent** accepted events,
-//!   filters by an event-kind bitmask and a descent-depth floor, and
-//!   accounts for everything it rejects or evicts.
+//!   ring of [`DEFAULT_TRACE_CAPACITY`] events that keeps the **most
+//!   recent** ones and counts everything it evicts.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -133,7 +130,7 @@ pub struct MemStats {
     pub max_depth: u64,
 }
 
-/// Default SAO-prefix width of an [`AttributionLedger`]: resolutions are
+/// SAO-prefix width of an [`AttributionLedger`]: resolutions are
 /// attributed to the first 8 bits of the resolution site's dimension-0
 /// navigation word (256 subtree rows plus one short-box spill row).
 pub const ATTR_PREFIX_BITS: u32 = 8;
@@ -177,11 +174,11 @@ impl AttrRow {
 
 /// Per-SAO-prefix attribution of resolution work.
 ///
-/// Rows are keyed by the first `k` bits of a box's **dimension-0
-/// navigation word** (`nav = (1 << len) | bits`, the self-delimiting
-/// encoding used by the dyadic layer) — i.e. by the depth-`k` subtree of
-/// the SAO's first attribute that the box sits under. Boxes whose
-/// dimension-0 interval is shorter than `k` bits land in a dedicated
+/// Rows are keyed by the first [`ATTR_PREFIX_BITS`] bits of a box's
+/// **dimension-0 navigation word** (`nav = (1 << len) | bits`, the
+/// self-delimiting encoding used by the dyadic layer) — i.e. by the
+/// subtree of the SAO's first attribute that the box sits under at that
+/// depth. Boxes whose dimension-0 interval is shorter land in a dedicated
 /// **short row** (index [`AttributionLedger::short_row`]), so every
 /// observation has exactly one row and the ledger stays balanced: the
 /// `resolutions` column sums to `TetrisStats::resolutions` in every
@@ -191,60 +188,46 @@ impl AttrRow {
 /// `u64` navigation word; [`AttributionLedger::row_of`] decodes it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AttributionLedger {
-    k: u32,
     rows: Vec<AttrRow>,
 }
 
 impl Default for AttributionLedger {
+    /// An empty ledger (all `2^ATTR_PREFIX_BITS + 1` rows are allocated
+    /// eagerly so observing never does).
     fn default() -> Self {
-        Self::with_prefix_bits(ATTR_PREFIX_BITS)
+        AttributionLedger {
+            rows: vec![AttrRow::default(); (1usize << ATTR_PREFIX_BITS) + 1],
+        }
     }
 }
 
 impl AttributionLedger {
-    /// An empty ledger with the default prefix width.
+    /// An empty ledger.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty ledger attributing to `k`-bit prefixes, `1 ≤ k ≤ 16`
-    /// (`2^k + 1` rows are allocated eagerly so observing never does).
-    pub fn with_prefix_bits(k: u32) -> Self {
-        assert!(
-            (1..=16).contains(&k),
-            "attribution prefix width {k} not in 1..=16"
-        );
-        AttributionLedger {
-            k,
-            rows: vec![AttrRow::default(); (1usize << k) + 1],
-        }
-    }
-
-    /// The configured prefix width in bits.
-    pub fn prefix_bits(&self) -> u32 {
-        self.k
     }
 
     /// Index of the spill row for boxes whose dimension-0 interval is
     /// shorter than the prefix width (including `λ`).
     pub fn short_row(&self) -> usize {
-        1usize << self.k
+        1usize << ATTR_PREFIX_BITS
     }
 
-    /// The row a dimension-0 navigation word attributes to: the top `k`
-    /// bits of its interval when long enough, else the short row. The
-    /// value `0` is not a valid navigation word and also spills.
+    /// The row a dimension-0 navigation word attributes to: the top
+    /// [`ATTR_PREFIX_BITS`] bits of its interval when long enough, else
+    /// the short row. The value `0` is not a valid navigation word and
+    /// also spills.
     #[inline]
     pub fn row_of(&self, nav0: u64) -> usize {
         if nav0 <= 1 {
             return self.short_row();
         }
         let len = 63 - nav0.leading_zeros();
-        if len < self.k {
+        if len < ATTR_PREFIX_BITS {
             return self.short_row();
         }
         let bits = nav0 ^ (1u64 << len);
-        (bits >> (len - self.k)) as usize
+        (bits >> (len - ATTR_PREFIX_BITS)) as usize
     }
 
     /// All rows; index [`AttributionLedger::short_row`] is the spill row.
@@ -301,25 +284,20 @@ impl AttributionLedger {
         self.rows.iter().map(|r| r.repair_hits).sum()
     }
 
-    /// Merge another worker's ledger (prefix widths must match — both
-    /// sides come from the same engine configuration).
+    /// Merge another worker's ledger.
     pub fn absorb(&mut self, other: &AttributionLedger) {
-        assert_eq!(
-            self.k, other.k,
-            "cannot merge attribution ledgers of different prefix widths"
-        );
         for (a, b) in self.rows.iter_mut().zip(&other.rows) {
             a.absorb(b);
         }
     }
 
-    /// Human-readable label for a row index: the `k`-bit prefix as a bit
-    /// string, or `"short"` for the spill row.
+    /// Human-readable label for a row index: the prefix as a bit string,
+    /// or `"short"` for the spill row.
     pub fn label(&self, row: usize) -> String {
         if row == self.short_row() {
             return "short".to_string();
         }
-        (0..self.k)
+        (0..ATTR_PREFIX_BITS)
             .rev()
             .map(|b| if (row >> b) & 1 == 1 { '1' } else { '0' })
             .collect()
@@ -341,81 +319,57 @@ impl AttributionLedger {
     }
 }
 
-/// Default [`FlightRecorder`] capacity: large enough that the worked
+/// The [`FlightRecorder`] ring's capacity: large enough that the worked
 /// paper examples and smoke-tier traces never wrap, small enough that a
 /// traced graph-tier run stays a bounded ring instead of an unbounded
-/// `Vec` (the PR 9 failure mode).
+/// `Vec`.
 pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 16;
 
-/// A bounded flight recorder: a fixed-capacity ring that keeps the most
-/// recent accepted events.
+/// A bounded flight recorder: a ring of [`DEFAULT_TRACE_CAPACITY`]
+/// events that keeps the most recent ones.
 ///
-/// Events are offered with an event **kind** (a small integer, bit
-/// position in the kind mask) and the descent **depth** they occurred
-/// at. An event is *filtered* (constructor closure never runs) when its
-/// kind bit is off in the mask or its depth is below the floor; an
-/// accepted event may later be *dropped* (evicted) when the ring wraps.
-/// `recorded = len + dropped` always holds, so a consumer can tell
-/// exactly how much of the run it is looking at.
+/// Recording into a full ring evicts the oldest event and counts it
+/// dropped, so `recorded = len + dropped` always holds and a consumer
+/// can tell exactly how much of the run it is looking at.
 ///
 /// Generic over the event type: this crate sits below the crate that
 /// defines the engine's trace events.
 #[derive(Clone, Debug)]
 pub struct FlightRecorder<E> {
     buf: std::collections::VecDeque<E>,
-    cap: usize,
-    kind_mask: u32,
-    depth_floor: u64,
     recorded: u64,
     dropped: u64,
-    filtered: u64,
+}
+
+impl<E> Default for FlightRecorder<E> {
+    fn default() -> Self {
+        FlightRecorder {
+            buf: std::collections::VecDeque::with_capacity(DEFAULT_TRACE_CAPACITY),
+            recorded: 0,
+            dropped: 0,
+        }
+    }
 }
 
 impl<E> FlightRecorder<E> {
-    /// A recorder of `cap` events accepting every kind at every depth.
-    pub fn new(cap: usize) -> Self {
-        Self::with_policy(cap, u32::MAX, 0)
+    /// An empty recorder.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// A recorder of `cap` events accepting only kinds whose bit is set
-    /// in `kind_mask`, at depths `≥ depth_floor`.
-    pub fn with_policy(cap: usize, kind_mask: u32, depth_floor: u64) -> Self {
-        assert!(cap > 0, "flight recorder capacity must be positive");
-        FlightRecorder {
-            buf: std::collections::VecDeque::with_capacity(cap),
-            cap,
-            kind_mask,
-            depth_floor,
-            recorded: 0,
-            dropped: 0,
-            filtered: 0,
-        }
-    }
-
-    /// Offer one event. The closure is only invoked when the event
-    /// passes the kind mask and depth floor; returns whether it did.
-    /// On a full ring the oldest event is evicted and counted dropped.
+    /// Record one event. On a full ring the oldest event is evicted and
+    /// counted dropped.
     #[inline]
-    pub fn record(&mut self, kind: u32, depth: u64, ev: impl FnOnce() -> E) -> bool {
-        if (self.kind_mask >> kind.min(31)) & 1 == 0 || depth < self.depth_floor {
-            self.filtered += 1;
-            return false;
-        }
-        if self.buf.len() == self.cap {
+    pub fn record(&mut self, ev: E) {
+        if self.buf.len() == DEFAULT_TRACE_CAPACITY {
             self.buf.pop_front();
             self.dropped += 1;
         }
-        self.buf.push_back(ev());
+        self.buf.push_back(ev);
         self.recorded += 1;
-        true
     }
 
-    /// The fixed ring capacity.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
-    /// Events currently held (≤ capacity).
+    /// Events currently held (≤ [`DEFAULT_TRACE_CAPACITY`]).
     pub fn len(&self) -> usize {
         self.buf.len()
     }
@@ -425,19 +379,14 @@ impl<E> FlightRecorder<E> {
         self.buf.is_empty()
     }
 
-    /// Total events accepted over the run (held + dropped).
+    /// Total events recorded over the run (held + dropped).
     pub fn recorded(&self) -> u64 {
         self.recorded
     }
 
-    /// Accepted events later evicted by ring wrap-around.
+    /// Recorded events later evicted by ring wrap-around.
     pub fn dropped(&self) -> u64 {
         self.dropped
-    }
-
-    /// Events rejected by the kind mask or depth floor (never built).
-    pub fn filtered(&self) -> u64 {
-        self.filtered
     }
 
     /// Iterate the held events, oldest first.
@@ -452,8 +401,10 @@ impl<E> FlightRecorder<E> {
 }
 
 /// One worker's metrics: the four engine histograms, the attribution
-/// ledger and per-phase span totals. Plain data — merged with
-/// [`Ledger::absorb`] at scope end, never shared across threads.
+/// ledger and per-phase span totals. Plain data — observation sites
+/// write the fields directly (`l.walk.observe(n)`), and workers' ledgers
+/// are merged with [`Ledger::absorb`] at scope end, never shared across
+/// threads.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Ledger {
     /// Resolution depth: descent-stack height at each resolution.
@@ -481,6 +432,13 @@ impl Ledger {
         self.spans[phase as usize]
     }
 
+    /// Add one completed `phase` span of `secs` wall-clock seconds.
+    pub fn record_span(&mut self, phase: Phase, secs: f64) {
+        let s = &mut self.spans[phase as usize];
+        s.count += 1;
+        s.secs += secs;
+    }
+
     /// Merge another worker's ledger into this one.
     pub fn absorb(&mut self, other: &Ledger) {
         self.depth.absorb(&other.depth);
@@ -491,194 +449,6 @@ impl Ledger {
         for (a, b) in self.spans.iter_mut().zip(&other.spans) {
             a.count += b.count;
             a.secs += b.secs;
-        }
-    }
-}
-
-/// Where the engine's observation sites report to.
-///
-/// Every method defaults to a no-op, so a sink type pays only for what
-/// it overrides — and the blanket `Option<T>` impl makes a disabled
-/// sink one branch per site. Observation sites must never influence
-/// control flow: a sink sees values, it cannot answer anything.
-pub trait ObsSink {
-    /// A resolution happened with the descent stack `depth` frames tall.
-    #[inline]
-    fn observe_depth(&mut self, _depth: u64) {}
-    /// A KB query finished having recorded `len` frontier entries.
-    #[inline]
-    fn observe_walk(&mut self, _len: u64) {}
-    /// A probe was repaired against a `window`-insert log lag.
-    #[inline]
-    fn observe_repair(&mut self, _window: u64) {}
-    /// A donation seeded an overlay shard with `boxes` boxes.
-    #[inline]
-    fn observe_donation(&mut self, _boxes: u64) {}
-    /// A phase span of `secs` wall-clock seconds completed.
-    #[inline]
-    fn record_span(&mut self, _phase: Phase, _secs: f64) {}
-    /// A resolution produced a resolvent whose dimension-0 navigation
-    /// word is `nav0` (called exactly once per counted resolution, so
-    /// the attribution rows sum to `resolutions` in every mode).
-    #[inline]
-    fn observe_resolution_at(&mut self, _nav0: u64) {}
-    /// A resolvent with dimension-0 navigation word `nav0` materialized
-    /// identical to a box already stored (the insert found it verbatim).
-    #[inline]
-    fn observe_re_resolution_at(&mut self, _nav0: u64) {}
-    /// An engine-side store insert of a novel box with dimension-0
-    /// navigation word `nav0` succeeded.
-    #[inline]
-    fn observe_insert_at(&mut self, _nav0: u64) {}
-    /// A probe repair at the box with dimension-0 navigation word `nav0`
-    /// surfaced a containing lagging insert (an answer-changing repair).
-    #[inline]
-    fn observe_repair_hit_at(&mut self, _nav0: u64) {}
-}
-
-/// The sink that observes nothing: a zero-sized type whose methods are
-/// the trait's default no-ops — the "compiles to nothing" witness.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NullSink;
-
-impl ObsSink for NullSink {}
-
-impl ObsSink for Ledger {
-    #[inline]
-    fn observe_depth(&mut self, depth: u64) {
-        self.depth.observe(depth);
-    }
-    #[inline]
-    fn observe_walk(&mut self, len: u64) {
-        self.walk.observe(len);
-    }
-    #[inline]
-    fn observe_repair(&mut self, window: u64) {
-        self.repair.observe(window);
-    }
-    #[inline]
-    fn observe_donation(&mut self, boxes: u64) {
-        self.donation.observe(boxes);
-    }
-    #[inline]
-    fn record_span(&mut self, phase: Phase, secs: f64) {
-        let s = &mut self.spans[phase as usize];
-        s.count += 1;
-        s.secs += secs;
-    }
-    #[inline]
-    fn observe_resolution_at(&mut self, nav0: u64) {
-        self.attr.count_resolution(nav0);
-    }
-    #[inline]
-    fn observe_re_resolution_at(&mut self, nav0: u64) {
-        self.attr.count_re_resolution(nav0);
-    }
-    #[inline]
-    fn observe_insert_at(&mut self, nav0: u64) {
-        self.attr.count_insert(nav0);
-    }
-    #[inline]
-    fn observe_repair_hit_at(&mut self, nav0: u64) {
-        self.attr.count_repair_hit(nav0);
-    }
-}
-
-impl<T: ObsSink + ?Sized> ObsSink for Box<T> {
-    #[inline]
-    fn observe_depth(&mut self, depth: u64) {
-        (**self).observe_depth(depth);
-    }
-    #[inline]
-    fn observe_walk(&mut self, len: u64) {
-        (**self).observe_walk(len);
-    }
-    #[inline]
-    fn observe_repair(&mut self, window: u64) {
-        (**self).observe_repair(window);
-    }
-    #[inline]
-    fn observe_donation(&mut self, boxes: u64) {
-        (**self).observe_donation(boxes);
-    }
-    #[inline]
-    fn record_span(&mut self, phase: Phase, secs: f64) {
-        (**self).record_span(phase, secs);
-    }
-    #[inline]
-    fn observe_resolution_at(&mut self, nav0: u64) {
-        (**self).observe_resolution_at(nav0);
-    }
-    #[inline]
-    fn observe_re_resolution_at(&mut self, nav0: u64) {
-        (**self).observe_re_resolution_at(nav0);
-    }
-    #[inline]
-    fn observe_insert_at(&mut self, nav0: u64) {
-        (**self).observe_insert_at(nav0);
-    }
-    #[inline]
-    fn observe_repair_hit_at(&mut self, nav0: u64) {
-        (**self).observe_repair_hit_at(nav0);
-    }
-}
-
-/// A disabled sink (`None`) is one branch per site; an enabled one
-/// forwards. This is the impl the engine's `Option<Box<Ledger>>` field
-/// rides on.
-impl<T: ObsSink> ObsSink for Option<T> {
-    #[inline]
-    fn observe_depth(&mut self, depth: u64) {
-        if let Some(s) = self {
-            s.observe_depth(depth);
-        }
-    }
-    #[inline]
-    fn observe_walk(&mut self, len: u64) {
-        if let Some(s) = self {
-            s.observe_walk(len);
-        }
-    }
-    #[inline]
-    fn observe_repair(&mut self, window: u64) {
-        if let Some(s) = self {
-            s.observe_repair(window);
-        }
-    }
-    #[inline]
-    fn observe_donation(&mut self, boxes: u64) {
-        if let Some(s) = self {
-            s.observe_donation(boxes);
-        }
-    }
-    #[inline]
-    fn record_span(&mut self, phase: Phase, secs: f64) {
-        if let Some(s) = self {
-            s.record_span(phase, secs);
-        }
-    }
-    #[inline]
-    fn observe_resolution_at(&mut self, nav0: u64) {
-        if let Some(s) = self {
-            s.observe_resolution_at(nav0);
-        }
-    }
-    #[inline]
-    fn observe_re_resolution_at(&mut self, nav0: u64) {
-        if let Some(s) = self {
-            s.observe_re_resolution_at(nav0);
-        }
-    }
-    #[inline]
-    fn observe_insert_at(&mut self, nav0: u64) {
-        if let Some(s) = self {
-            s.observe_insert_at(nav0);
-        }
-    }
-    #[inline]
-    fn observe_repair_hit_at(&mut self, nav0: u64) {
-        if let Some(s) = self {
-            s.observe_repair_hit_at(nav0);
         }
     }
 }
@@ -740,12 +510,12 @@ mod tests {
     }
 
     #[test]
-    fn ledger_routes_and_absorbs() {
+    fn ledger_absorbs_histograms_and_spans() {
         let mut l = Ledger::new();
-        l.observe_depth(4);
-        l.observe_walk(100);
-        l.observe_repair(3);
-        l.observe_donation(0);
+        l.depth.observe(4);
+        l.walk.observe(100);
+        l.repair.observe(3);
+        l.donation.observe(0);
         l.record_span(Phase::Preload, 0.5);
         l.record_span(Phase::Task, 0.25);
         l.record_span(Phase::Task, 0.25);
@@ -758,32 +528,12 @@ mod tests {
         assert_eq!(l.span(Phase::Solve).count, 0);
 
         let mut m = Ledger::new();
-        m.observe_depth(4);
+        m.depth.observe(4);
         m.record_span(Phase::Task, 1.0);
         m.absorb(&l);
         assert_eq!(m.depth.total(), 2);
         assert_eq!(m.span(Phase::Task).count, 3);
         assert!((m.span(Phase::Task).secs - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn null_sink_is_zero_sized_and_inert() {
-        assert_eq!(std::mem::size_of::<NullSink>(), 0);
-        let mut s = NullSink;
-        s.observe_depth(1);
-        s.observe_walk(2);
-        s.observe_repair(3);
-        s.observe_donation(4);
-        s.record_span(Phase::Solve, 1.0);
-        // Nothing to assert on NullSink itself — the point is it has no
-        // state. The Option impl must be one branch when disabled:
-        let mut off: Option<Ledger> = None;
-        off.observe_depth(9);
-        off.record_span(Phase::Solve, 9.0);
-        assert!(off.is_none());
-        let mut on: Option<Box<Ledger>> = Some(Box::default());
-        on.observe_depth(9);
-        assert_eq!(on.as_ref().unwrap().depth.total(), 1);
     }
 
     /// The navigation word of a bit string (test helper mirroring the
@@ -795,29 +545,31 @@ mod tests {
 
     #[test]
     fn attribution_routes_by_prefix_and_spills_short_boxes() {
-        let mut a = AttributionLedger::with_prefix_bits(2);
-        assert_eq!(a.short_row(), 4);
-        // λ (nav 1), the invalid word 0, and 1-bit intervals all spill.
-        assert_eq!(a.row_of(nav("")), 4);
-        assert_eq!(a.row_of(0), 4);
-        assert_eq!(a.row_of(nav("1")), 4);
-        // Exactly k bits: the row is the value itself.
-        assert_eq!(a.row_of(nav("00")), 0);
-        assert_eq!(a.row_of(nav("10")), 2);
-        // Longer intervals key on their top k bits.
-        assert_eq!(a.row_of(nav("1011")), 2);
-        assert_eq!(a.row_of(nav("1111111")), 3);
-        a.count_resolution(nav("1011"));
-        a.count_resolution(nav("10"));
-        a.count_re_resolution(nav("10"));
-        a.count_insert(nav("01"));
+        let mut a = AttributionLedger::new();
+        assert_eq!(a.short_row(), 256);
+        // λ (nav 1), the invalid word 0, and intervals shorter than the
+        // prefix all spill.
+        assert_eq!(a.row_of(nav("")), 256);
+        assert_eq!(a.row_of(0), 256);
+        assert_eq!(a.row_of(nav("1")), 256);
+        assert_eq!(a.row_of(nav("1011001")), 256);
+        // Exactly the prefix width: the row is the value itself.
+        assert_eq!(a.row_of(nav("00000000")), 0);
+        assert_eq!(a.row_of(nav("10110010")), 178);
+        // Longer intervals key on their top bits.
+        assert_eq!(a.row_of(nav("1011001011")), 178);
+        assert_eq!(a.row_of(nav("1111111111111")), 255);
+        a.count_resolution(nav("1011001011"));
+        a.count_resolution(nav("10110010"));
+        a.count_re_resolution(nav("10110010"));
+        a.count_insert(nav("00000001"));
         a.count_repair_hit(nav("1"));
-        assert_eq!(a.rows()[2].resolutions, 2);
-        assert_eq!(a.rows()[2].re_resolutions, 1);
+        assert_eq!(a.rows()[178].resolutions, 2);
+        assert_eq!(a.rows()[178].re_resolutions, 1);
         assert_eq!(a.rows()[1].inserts, 1);
         assert_eq!(a.rows()[a.short_row()].repair_hits, 1);
         assert_eq!(a.resolutions(), 2);
-        assert_eq!(a.label(2), "10");
+        assert_eq!(a.label(178), "10110010");
         assert_eq!(a.label(a.short_row()), "short");
     }
 
@@ -846,53 +598,30 @@ mod tests {
 
     #[test]
     fn flight_recorder_keeps_the_tail_and_counts_drops() {
-        let mut r: FlightRecorder<u64> = FlightRecorder::new(3);
-        for i in 0..7u64 {
-            assert!(r.record(0, 0, || i));
+        let mut r: FlightRecorder<u64> = FlightRecorder::new();
+        let total = DEFAULT_TRACE_CAPACITY as u64 + 4;
+        for i in 0..total {
+            r.record(i);
         }
-        assert_eq!(r.len(), 3);
-        assert_eq!(r.recorded(), 7);
+        assert_eq!(r.len(), DEFAULT_TRACE_CAPACITY);
+        assert_eq!(r.recorded(), total);
         assert_eq!(r.dropped(), 4);
-        assert_eq!(r.filtered(), 0);
-        assert_eq!(r.iter().copied().collect::<Vec<_>>(), vec![4, 5, 6]);
-        assert_eq!(r.drain(), vec![4, 5, 6]);
-    }
-
-    #[test]
-    fn flight_recorder_mask_and_floor_filter_without_building() {
-        let mut built = 0u32;
-        let mut r: FlightRecorder<u32> = FlightRecorder::with_policy(8, 0b10, 2);
-        // Wrong kind: rejected, constructor never runs.
-        assert!(!r.record(0, 5, || {
-            built += 1;
-            0
-        }));
-        // Right kind, below the depth floor: rejected.
-        assert!(!r.record(1, 1, || {
-            built += 1;
-            0
-        }));
-        // Right kind at the floor: accepted.
-        assert!(r.record(1, 2, || {
-            built += 1;
-            7
-        }));
-        assert_eq!(built, 1);
-        assert_eq!(r.filtered(), 2);
-        assert_eq!(r.recorded(), 1);
-        assert_eq!(r.drain(), vec![7]);
+        assert_eq!(r.iter().next(), Some(&4));
+        let tail = r.drain();
+        assert_eq!(tail.len(), DEFAULT_TRACE_CAPACITY);
+        assert!(tail.iter().copied().eq(4..total));
     }
 
     #[test]
     fn ledger_attribution_and_span_totals_merge() {
         let mut l = Ledger::new();
-        l.observe_resolution_at(nav("10110010"));
-        l.observe_re_resolution_at(nav("10110010"));
-        l.observe_insert_at(nav("0"));
-        l.observe_repair_hit_at(nav("11110000"));
+        l.attr.count_resolution(nav("10110010"));
+        l.attr.count_re_resolution(nav("10110010"));
+        l.attr.count_insert(nav("0"));
+        l.attr.count_repair_hit(nav("11110000"));
         l.record_span(Phase::Task, 0.5);
         let mut m = Ledger::new();
-        m.observe_resolution_at(nav("10110010"));
+        m.attr.count_resolution(nav("10110010"));
         m.record_span(Phase::Task, 0.25);
         m.absorb(&l);
         assert_eq!(m.attr.resolutions(), 2);

@@ -9,7 +9,6 @@ use std::time::Instant;
 
 use baseline::leapfrog::{leapfrog_join, LeapfrogStats};
 use baseline::JoinSpec;
-use obs::ObsSink;
 use query::Hypergraph;
 use relation::{IndexedRelation, JoinOracle, Relation};
 use tetris_core::{Tetris, TetrisConfig, TetrisOutput, TetrisStats, MAX_DIMS};
@@ -70,7 +69,8 @@ impl PreparedQuery {
     /// Build from query text like `"R(A,B), S(B,C), T(A,C)"`, resolving
     /// each relation symbol through `resolver`. Errors on a parse
     /// failure, an atom whose attribute count differs from its relation's
-    /// arity, or more than [`MAX_DIMS`] distinct variables.
+    /// arity, a relation column whose width differs from `width`, or more
+    /// than [`MAX_DIMS`] distinct variables.
     ///
     /// ```
     /// use plan::PreparedQuery;
@@ -104,6 +104,15 @@ impl PreparedQuery {
                     attrs.len(),
                     rel.arity()
                 ));
+            }
+            for (j, a) in attrs.iter().enumerate() {
+                let w = rel.schema().width(j);
+                if w != width {
+                    return Err(format!(
+                        "atom {} binds attribute {a} to a {w}-bit column but the query width is {width} bits",
+                        atom.name
+                    ));
+                }
             }
             builder = builder.atom(&atom.name, rel, &attrs);
         }
@@ -190,11 +199,6 @@ impl PreparedQuery {
     /// The execution config the plan carries.
     pub fn config(&self) -> TetrisConfig {
         self.config
-    }
-
-    /// Replace the carried execution config.
-    pub fn set_config(&mut self, config: TetrisConfig) {
-        self.config = config;
     }
 
     /// Build the gap oracle (dimensions in SAO order).
@@ -324,5 +328,17 @@ mod tests {
         let join = PreparedQuery::from_query_text(shorter, 3, |_| &r).expect("8 variables");
         assert_eq!(join.sao().len(), MAX_DIMS);
         join.run();
+    }
+
+    #[test]
+    fn width_mismatch_is_an_error_not_a_panic() {
+        // A 3-bit relation in a 2-bit query.
+        let e = Relation::new(Schema::uniform(&["X", "Y"], 3), vec![vec![0, 1]]);
+        let err = PreparedQuery::from_query_text("R(A,B), S(B,C)", 2, |_| &e)
+            .err()
+            .expect("a 3-bit column in a 2-bit query must be rejected");
+        for part in ["atom R", "attribute A", "3-bit", "2 bits"] {
+            assert!(err.contains(part), "{part:?} missing from {err:?}");
+        }
     }
 }

@@ -10,7 +10,7 @@
 
 use crate::{Index, IndexedRelation};
 use boxstore::{BoxOracle, BoxTree};
-use dyadic::{DyadicBox, DyadicInterval, Space};
+use dyadic::{DyadicBox, Space};
 
 /// One atom of a join query: an indexed relation plus the mapping from
 /// its schema positions to the query's SAO dimensions.
@@ -251,16 +251,6 @@ impl BoxOracle for JoinOracle<'_> {
         }
         Some(novel)
     }
-
-    fn size_hint(&self) -> Option<usize> {
-        None
-    }
-}
-
-/// Embed a λ-padded interval at one dimension (helper for tests and
-/// hand-built instances).
-pub(crate) fn _single_dim_box(n: usize, dim: usize, iv: DyadicInterval) -> DyadicBox {
-    DyadicBox::universe(n).with(dim, iv)
 }
 
 #[cfg(test)]

@@ -38,7 +38,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod database;
 mod dyadic_index;
 mod indexed;
 pub mod io;
@@ -47,7 +46,6 @@ mod rel;
 mod schema;
 pub(crate) mod trie;
 
-pub use database::Database;
 pub use dyadic_index::DyadicTreeIndex;
 pub use indexed::{Index, IndexedRelation};
 pub use join::{Atom, JoinOracle};

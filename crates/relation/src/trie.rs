@@ -97,11 +97,6 @@ impl TrieIndex {
         self.order.len()
     }
 
-    /// Number of distinct values at level `j` (diagnostics).
-    pub fn level_len(&self, j: usize) -> usize {
-        self.values[j].len()
-    }
-
     /// The children value range of `node` at level `j` (`j < depth-1`).
     fn children(&self, j: usize, node: usize) -> (usize, usize) {
         let s = &self.starts[j];

@@ -6,7 +6,7 @@
 use boxstore::SetOracle;
 use dyadic::{resolve, DyadicBox, DyadicInterval, Space};
 use rand::{Rng, SeedableRng};
-use tetris_join::tetris::{Tetris, TraceEvent};
+use tetris_join::tetris::{Descent, Tetris, TetrisConfig, TetrisStats, TraceEvent};
 
 fn random_boxes(rng: &mut rand::rngs::StdRng, n: usize, d: u8, count: usize) -> Vec<DyadicBox> {
     (0..count)
@@ -114,6 +114,55 @@ fn traces_satisfy_lemma_c1_and_soundness() {
             .count() as u64;
         assert_eq!(restarts, out.stats.restarts);
     }
+}
+
+#[test]
+fn tracing_changes_no_counter() {
+    // Every trace site sits beside engine work it must not change: a
+    // traced run repeats the untraced run's tuples and counters, apart
+    // from the two recorder counters, in every sequential mode. Trial 0's
+    // Tree-Ordered restart runs overflow the ring, so the drop count is
+    // checked on a wrapped trace too.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(405);
+    let mut wrapped = false;
+    for trial in 0..30 {
+        let n = rng.gen_range(1..=3);
+        let d = rng.gen_range(1..=3u8);
+        let space = Space::uniform(n, d);
+        let count = rng.gen_range(0..20);
+        let oracle = SetOracle::new(space, random_boxes(&mut rng, n, d, count));
+        for descent in [Descent::Incremental, Descent::Restart, Descent::RestartMemo] {
+            for preload in [false, true] {
+                for cache_resolvents in [false, true] {
+                    let cfg = TetrisConfig {
+                        preload,
+                        cache_resolvents,
+                        descent,
+                        ..Default::default()
+                    };
+                    let label = format!("trial {trial} {cfg:?}");
+                    let plain = Tetris::with_config(&oracle, cfg).run();
+                    let traced =
+                        Tetris::with_config(&oracle, TetrisConfig { trace: true, ..cfg }).run();
+                    assert_eq!(traced.tuples, plain.tuples, "{label}");
+                    let s = &traced.stats;
+                    assert_eq!(
+                        s.trace_recorded - s.trace_dropped,
+                        traced.trace.len() as u64,
+                        "{label}"
+                    );
+                    wrapped |= s.trace_dropped > 0;
+                    let untraced = TetrisStats {
+                        trace_recorded: 0,
+                        trace_dropped: 0,
+                        ..s.clone()
+                    };
+                    assert_eq!(untraced, plain.stats, "{label}");
+                }
+            }
+        }
+    }
+    assert!(wrapped, "no traced run overflowed the ring");
 }
 
 #[test]
