@@ -18,10 +18,10 @@ use dyadic::{DyadicBox, Space};
 /// then never probes it.
 ///
 /// Implementations must satisfy, for every unit box `p`:
-/// `boxes_containing(p)` returns boxes of `B` containing `p`, and returns
-/// a **non-empty** set whenever *some* box of `B` contains `p`. (Returning
-/// all maximal such boxes, as indexes naturally do, is what the paper's
-/// complexity analysis assumes.)
+/// `boxes_containing_into(p, out)` leaves in `out` boxes of `B` that
+/// contain `p`, and a **non-empty** set whenever *some* box of `B`
+/// contains `p`. (Returning all maximal such boxes, as indexes naturally
+/// do, is what the paper's complexity analysis assumes.)
 ///
 /// Oracles are shared by reference across worker threads under the
 /// parallel skeleton descent, so the trait requires [`Sync`]: probe
@@ -32,17 +32,19 @@ pub trait BoxOracle: Sync {
     /// The ambient space of the instance (dimensions in SAO order).
     fn space(&self) -> Space;
 
-    /// All (maximal) boxes of `B` containing the given unit box.
-    /// An empty result means the point is an output tuple of the BCP.
-    fn boxes_containing(&self, point: &DyadicBox) -> Vec<DyadicBox>;
+    /// All (maximal) boxes of `B` containing the given unit box, written
+    /// into a caller-owned buffer (cleared first): the engine probes once
+    /// per uncovered point and reuses one buffer across probes. An empty
+    /// result means the point is an output tuple of the BCP.
+    fn boxes_containing_into(&self, point: &DyadicBox, out: &mut Vec<DyadicBox>);
 
-    /// [`BoxOracle::boxes_containing`] into a caller-owned buffer
-    /// (cleared first). The engine probes once per uncovered point, so
-    /// implementations that can fill the buffer directly save one
-    /// allocation per output tuple / on-demand load.
-    fn boxes_containing_into(&self, point: &DyadicBox, out: &mut Vec<DyadicBox>) {
-        out.clear();
-        out.extend(self.boxes_containing(point));
+    /// The box a restarting descent stores for the output at the unit box
+    /// `unit`, so that later descents find the output covered. Defaults
+    /// to `unit` itself. An oracle whose space maps several unit boxes to
+    /// one tuple returns all of them as one box, so that the tuple is
+    /// reported once (the load-balanced lift stores a tuple's class).
+    fn output_box(&self, unit: &DyadicBox) -> DyadicBox {
+        *unit
     }
 
     /// Enumerate all of `B`, if supported — used by `Tetris-Preloaded`.
@@ -128,10 +130,6 @@ impl BoxOracle for SetOracle {
         self.space
     }
 
-    fn boxes_containing(&self, point: &DyadicBox) -> Vec<DyadicBox> {
-        self.tree.all_containing(point)
-    }
-
     fn boxes_containing_into(&self, point: &DyadicBox, out: &mut Vec<DyadicBox>) {
         self.tree.all_containing_into(point, out);
     }
@@ -160,13 +158,16 @@ mod tests {
     fn set_oracle_answers_point_probes() {
         let space = Space::uniform(2, 2);
         let o = SetOracle::new(space, vec![b("λ,0"), b("00,λ"), b("λ,11"), b("10,1")]);
+        let mut hits = Vec::new();
         // Figure 10: ⟨01,10⟩ is uncovered.
-        assert!(o.boxes_containing(&b("01,10")).is_empty());
+        o.boxes_containing_into(&b("01,10"), &mut hits);
+        assert!(hits.is_empty());
         // ⟨01,00⟩ is covered by ⟨λ,0⟩.
-        let hits = o.boxes_containing(&b("01,00"));
+        o.boxes_containing_into(&b("01,00"), &mut hits);
         assert_eq!(hits, vec![b("λ,0")]);
         // ⟨00,00⟩ is covered by two boxes.
-        assert_eq!(o.boxes_containing(&b("00,00")).len(), 2);
+        o.boxes_containing_into(&b("00,00"), &mut hits);
+        assert_eq!(hits.len(), 2);
         assert_eq!(o.enumerate().unwrap().len(), 4);
     }
 

@@ -15,14 +15,20 @@
 //! original tuple and inserts the tuple's entire lifted **equivalence
 //! class** as one box — each output is reported exactly once.
 //!
+//! Each phase is plain [`Tetris`] under [`Descent::Restart`] over a
+//! lifted view of the oracle that lowers probes, lifts answers and
+//! stores an output's class ([`BoxOracle::output_box`]).
+//!
 //! [`TetrisLB::preloaded`] is Algorithm 5 (`Tetris-Preloaded-LB`,
 //! offline). [`TetrisLB::reloaded`] is the online variant of Appendix
 //! F.6: boxes load on demand and the partitions are rebuilt (from scratch)
 //! whenever the loaded set doubles — `O(log |C|)` rebuilds total.
 
-use crate::TetrisStats;
-use boxstore::{BoxOracle, BoxTree};
-use dyadic::{resolve::ordered_resolve, DyadicBox, DyadicInterval, Space};
+use crate::engine::Sched;
+use crate::{Descent, Tetris, TetrisConfig, TetrisStats};
+use boxstore::BoxOracle;
+use dyadic::{DyadicBox, DyadicInterval, Space};
+use std::sync::Mutex;
 
 /// A **balanced dimension partition** (Definition 4.13): a prefix-free set
 /// of dyadic intervals covering the domain, such that at most `threshold`
@@ -180,14 +186,6 @@ impl BalanceMap {
                 BalancedPartition::compute(&projections, space.width(i), threshold)
             })
             .collect();
-        Self::from_partitions(space, partitions)
-    }
-
-    /// Build the lift from explicit partitions (tests / custom layouts).
-    pub fn from_partitions(space: Space, partitions: Vec<BalancedPartition>) -> Self {
-        let n = space.n();
-        assert!(n >= 3);
-        assert_eq!(partitions.len(), n - 2);
         // Lifted layout (Algorithm 5's SAO):
         //   0 .. n−3        : A′_i            (width d_i)
         //   n−2             : A_{n−1} (last)  (width d_{n−1})
@@ -344,16 +342,14 @@ impl<'o, O: BoxOracle + ?Sized> TetrisLB<'o, O> {
     fn drive(self, stop_on_output: bool) -> LbOutput {
         let space = self.oracle.space();
         let n = space.n();
-        // The lift needs n ≥ 3 and 2n−2 ≤ MAX_DIMS; outside that range the
-        // plain engine already meets the target bound (n ≤ 2 ⇒ |C|^{n−1} ≤
-        // |C|^{n/2}·|C|^{1/2}… in fact for n ≤ 2, Õ(|C|) holds).
+        // The lift needs n ≥ 3; below that the plain engine already runs
+        // in Õ(|C|), within the target bound.
         if n < 3 {
-            let engine = if self.preload {
-                crate::Tetris::preloaded(self.oracle)
-            } else {
-                crate::Tetris::reloaded(self.oracle)
+            let config = TetrisConfig {
+                preload: self.preload,
+                ..Default::default()
             };
-            let out = engine.run();
+            let out = Tetris::with_config(self.oracle, config).run();
             return LbOutput {
                 tuples: out.tuples,
                 stats: out.stats,
@@ -370,145 +366,108 @@ impl<'o, O: BoxOracle + ?Sized> TetrisLB<'o, O> {
         } else {
             Vec::new()
         };
-        let mut phases = 0u32;
-
-        'rebuild: loop {
-            phases += 1;
-            let map = BalanceMap::from_boxes(space, &loaded);
-            let mut phase = LiftedPhase::new(&map, &loaded, &outputs);
-            let rebuild_at = (2 * loaded.len()).max(16);
-            loop {
-                match phase.skeleton_root() {
-                    None => {
-                        // Lifted space covered ⇒ done.
-                        stats.absorb(&phase.stats);
-                        outputs.sort_unstable();
-                        return LbOutput {
-                            tuples: outputs,
-                            stats,
-                            phases,
-                        };
-                    }
-                    Some(w) => {
-                        let t = map.lower_point(&w);
-                        phase.stats.oracle_probes += 1;
-                        let probe = DyadicBox::from_point(&t, &space);
-                        let hits = self.oracle.boxes_containing(&probe);
-                        if hits.is_empty() {
-                            phase.stats.outputs += 1;
-                            outputs.push(t.clone());
-                            phase.insert(&map.lift_point_class(&t));
-                            if stop_on_output {
-                                stats.absorb(&phase.stats);
-                                outputs.sort_unstable();
-                                return LbOutput {
-                                    tuples: outputs,
-                                    stats,
-                                    phases,
-                                };
-                            }
-                        } else {
-                            for h in &hits {
-                                debug_assert!(h.contains(&probe));
-                                if !loaded.contains(h) {
-                                    loaded.push(*h);
-                                    phase.stats.loaded_boxes += 1;
-                                }
-                                phase.insert(&map.lift_box(h));
-                            }
-                            if !self.preload && loaded.len() >= rebuild_at {
-                                phase.stats.rebuilds += 1;
-                                stats.absorb(&phase.stats);
-                                continue 'rebuild;
-                            }
-                        }
-                    }
-                }
+        loop {
+            // Appendix F.6: rebuild once the loaded set doubles. Offline,
+            // every box is loaded up front, so no probe loads another and
+            // no phase stops.
+            let at = (2 * loaded.len()).max(16);
+            let oracle = LiftedOracle {
+                inner: self.oracle,
+                map: BalanceMap::from_boxes(space, &loaded),
+                loaded: Mutex::new(loaded),
+            };
+            let mut hook = Rebuild {
+                loaded: &oracle.loaded,
+                at,
+            };
+            let lifted = oracle.map.lifted();
+            let mut phase = oracle.phase(&outputs);
+            let covered = phase
+                .solve(&mut hook, |p| {
+                    let unit = DyadicBox::from_point(p, &lifted);
+                    outputs.push(oracle.map.lower_point(&unit));
+                    stop_on_output
+                })
+                .is_some();
+            stats.absorb(&phase.0.stats);
+            if covered || (stop_on_output && !outputs.is_empty()) {
+                outputs.sort_unstable();
+                return LbOutput {
+                    tuples: outputs,
+                    phases: stats.rebuilds as u32 + 1,
+                    stats,
+                };
             }
+            stats.rebuilds += 1;
+            loaded = oracle.loaded.into_inner().expect("loaded lock poisoned");
         }
     }
 }
 
-/// One phase of the LB engine: a fixed lift plus a knowledge base.
-struct LiftedPhase {
-    space: Space,
-    kb: BoxTree,
-    stats: TetrisStats,
+/// The original oracle seen through one phase's lift. Algorithm 5 is
+/// plain Tetris over it: a probe lowers the lifted point, asks the
+/// original oracle, records the boxes it returns as loaded, and answers
+/// with their lifts. An output stores its tuple's whole class.
+struct LiftedOracle<'o, O: ?Sized> {
+    inner: &'o O,
+    map: BalanceMap,
+    /// The original boxes loaded so far: the rebuild trigger and the next
+    /// phase's partition input. Probes append to it through `&self`.
+    loaded: Mutex<Vec<DyadicBox>>,
 }
 
-impl LiftedPhase {
-    fn new(map: &BalanceMap, loaded: &[DyadicBox], outputs: &[Vec<u64>]) -> Self {
-        let lifted = map.lifted();
-        let mut kb = BoxTree::new(lifted.n());
-        let mut stats = TetrisStats::new(lifted.n());
-        for b in loaded {
-            if kb.insert(&map.lift_box(b)) {
-                stats.kb_inserts += 1;
+impl<O: BoxOracle + ?Sized> LiftedOracle<'_, O> {
+    /// A restarting Tetris run over the lift (the paper-literal Algorithm
+    /// 2, which an output's class box needs; DESIGN.md §8), its store
+    /// seeded with the lifted loaded boxes and earlier outputs' classes.
+    fn phase(&self, outputs: &[Vec<u64>]) -> Tetris<'_, Self> {
+        let mut phase = Tetris::reloaded(self).descent(Descent::Restart);
+        let s = &mut phase.0;
+        let loaded = self.loaded.lock().expect("loaded lock poisoned");
+        let lifted = loaded.iter().map(|b| self.map.lift_box(b));
+        for b in lifted.chain(outputs.iter().map(|t| self.map.lift_point_class(t))) {
+            if s.kb.tree.insert(&b) {
+                s.stats.kb_inserts += 1;
             }
         }
-        for t in outputs {
-            if kb.insert(&map.lift_point_class(t)) {
-                stats.kb_inserts += 1;
-            }
-        }
-        LiftedPhase {
-            space: lifted,
-            kb,
-            stats,
-        }
-    }
-
-    fn insert(&mut self, b: &DyadicBox) {
-        if self.kb.insert(b) {
-            self.stats.kb_inserts += 1;
-        }
-    }
-
-    /// One outer-loop iteration: `None` if the lifted space is covered,
-    /// else an uncovered lifted unit point.
-    fn skeleton_root(&mut self) -> Option<DyadicBox> {
-        self.stats.restarts += 1;
-        let universe = DyadicBox::universe(self.space.n());
-        match self.skeleton(&universe) {
-            Skel::Covered(_) => None,
-            Skel::Uncovered(w) => Some(w),
-        }
-    }
-
-    fn skeleton(&mut self, b: &DyadicBox) -> Skel {
-        self.stats.skeleton_calls += 1;
-        self.stats.kb_queries += 1;
-        if let Some(a) = self.kb.find_containing(b) {
-            return Skel::Covered(a);
-        }
-        let Some((b1, b2, dim)) = b.split_first_thick(&self.space) else {
-            return Skel::Uncovered(*b);
-        };
-        self.stats.splits += 1;
-        let w1 = match self.skeleton(&b1) {
-            Skel::Uncovered(p) => return Skel::Uncovered(p),
-            Skel::Covered(w) => w,
-        };
-        if w1.contains(b) {
-            return Skel::Covered(w1);
-        }
-        let w2 = match self.skeleton(&b2) {
-            Skel::Uncovered(p) => return Skel::Uncovered(p),
-            Skel::Covered(w) => w,
-        };
-        if w2.contains(b) {
-            return Skel::Covered(w2);
-        }
-        let w = ordered_resolve(&w1, &w2, dim).expect("Lemma C.1 invariant violated");
-        self.stats.count_resolution(dim);
-        self.insert(&w);
-        Skel::Covered(w)
+        phase
     }
 }
 
-enum Skel {
-    Covered(DyadicBox),
-    Uncovered(DyadicBox),
+impl<O: BoxOracle + ?Sized> BoxOracle for LiftedOracle<'_, O> {
+    fn space(&self) -> Space {
+        self.map.lifted()
+    }
+
+    fn boxes_containing_into(&self, point: &DyadicBox, out: &mut Vec<DyadicBox>) {
+        let t = self.map.lower_point(point);
+        self.inner
+            .boxes_containing_into(&DyadicBox::from_point(&t, &self.map.original()), out);
+        let mut loaded = self.loaded.lock().expect("loaded lock poisoned");
+        for h in out.iter_mut() {
+            // A loaded box's lift is stored and would cover `point`.
+            debug_assert!(!loaded.contains(h), "probe returned loaded box {h}");
+            loaded.push(*h);
+            *h = self.map.lift_box(h);
+        }
+    }
+
+    fn output_box(&self, unit: &DyadicBox) -> DyadicBox {
+        self.map.lift_point_class(&self.map.lower_point(unit))
+    }
+}
+
+/// The phase hook: stop once `loaded` holds `at` boxes, so that the
+/// partitions can be rebuilt.
+struct Rebuild<'a> {
+    loaded: &'a Mutex<Vec<DyadicBox>>,
+    at: usize,
+}
+
+impl<S> Sched<S> for Rebuild<'_> {
+    fn poll(&mut self, _s: &mut S, _cur: &DyadicBox) -> bool {
+        self.loaded.lock().expect("loaded lock poisoned").len() >= self.at
+    }
 }
 
 #[cfg(test)]

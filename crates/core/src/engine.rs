@@ -18,9 +18,11 @@
 //!
 //! `Skeleton::drive` is the one descent loop. It is generic over the
 //! knowledge base it probes (`KbView`) and a scheduling hook (`Sched`).
-//! [`Tetris`] runs it on one store with a hook that does nothing, and
-//! every [`Descent::Parallel`] task runs it on a frozen base plus an
-//! overlay shard with a hook that cancels, donates and joins.
+//! [`Tetris`] runs it on one store with a hook that does nothing, every
+//! [`Descent::Parallel`] task runs it on a frozen base plus an overlay
+//! shard with a hook that cancels, donates and joins, and every
+//! load-balanced phase runs a [`Tetris`] over the lifted oracle with a
+//! hook that stops it for a partition rebuild.
 
 use crate::{TetrisStats, TraceEvent};
 use boxstore::{BoxOracle, BoxTree, CoverProbe, CoverageMarks, DescentProbe, FrontierStack};
@@ -304,7 +306,8 @@ pub(crate) fn observe_repair(l: &mut Ledger, probe: &DescentProbe, repairs: u64,
 
 /// The descent loop's scheduling hook over the descent state `S`. Every
 /// method defaults to a no-op, which is the sequential driver's hook and
-/// compiles away; a parallel task's hook cancels, donates and joins.
+/// compiles away; a parallel task's hook cancels, donates and joins, and
+/// a load-balanced phase's hook stops the phase for a rebuild.
 pub(crate) trait Sched<S> {
     /// Called at every skeleton call; `true` stops the descent.
     #[inline(always)]
@@ -411,7 +414,7 @@ impl<'o, O: BoxOracle + ?Sized> Tetris<'o, O> {
             return crate::parallel::run_parallel(self, threads, false);
         }
         let mut tuples = Vec::new();
-        self.solve(|t| {
+        self.solve(&mut Sequential, |t| {
             tuples.push(t.to_vec());
             false
         });
@@ -441,7 +444,7 @@ impl<'o, O: BoxOracle + ?Sized> Tetris<'o, O> {
             }
             return out.stats;
         }
-        self.solve(|t| {
+        self.solve(&mut Sequential, |t| {
             f(t);
             false
         });
@@ -458,7 +461,7 @@ impl<'o, O: BoxOracle + ?Sized> Tetris<'o, O> {
             return (out.tuples.is_empty(), out.stats);
         }
         let mut found = false;
-        self.solve(|_| {
+        self.solve(&mut Sequential, |_| {
             found = true;
             true
         });
@@ -466,13 +469,20 @@ impl<'o, O: BoxOracle + ?Sized> Tetris<'o, O> {
     }
 
     /// The sequential driver: one descent of the whole space (Algorithms
-    /// 1+2 fused), then the probe and recorder counters.
-    fn solve(&mut self, on_output: impl FnMut(&[u64]) -> bool) {
+    /// 1+2 fused) under `hook`, then the probe and recorder counters.
+    /// Returns a box covering the space, or `None` when `on_output` or
+    /// `hook` stopped the descent.
+    pub(crate) fn solve<H: Sched<Skeleton<'o, O, Kb>>>(
+        &mut self,
+        hook: &mut H,
+        on_output: impl FnMut(&[u64]) -> bool,
+    ) -> Option<DyadicBox> {
         let s = &mut self.0;
         s.stats.restarts += 1;
         s.emit(|| TraceEvent::Restart);
-        s.drive(DyadicBox::universe(s.space.n()), &mut Sequential, on_output);
+        let covered = s.drive(DyadicBox::universe(s.space.n()), hook, on_output);
         s.sync_stats();
+        covered
     }
 }
 
@@ -819,10 +829,11 @@ impl<'o, O: BoxOracle + ?Sized, K: KbView> Skeleton<'o, O, K> {
             if restarting {
                 // A restart re-probes from the universe and must find
                 // the output covered.
-                if self.kb.insert(cur) {
+                let stored = self.oracle.output_box(cur);
+                if self.kb.insert(&stored) {
                     self.stats.kb_inserts += 1;
                     if let Some(l) = &mut self.obs {
-                        l.attr.count_insert(nav0(cur));
+                        l.attr.count_insert(nav0(&stored));
                     }
                 }
             } else {

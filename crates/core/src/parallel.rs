@@ -155,6 +155,19 @@ impl<O: BoxOracle + ?Sized> ParCtx<'_, O> {
             pool.push(shard);
         }
     }
+
+    /// A shard for a donation by `worker`: a retired one from its pool,
+    /// or a fresh store counted in `par_shard_allocs`.
+    fn take_shard(&self, worker: usize, stats: &mut TetrisStats) -> BoxTree {
+        let retired = self.scratch[worker]
+            .lock()
+            .expect("scratch lock poisoned")
+            .pop();
+        retired.unwrap_or_else(|| {
+            stats.par_shard_allocs += 1;
+            BoxTree::new(self.base.n())
+        })
+    }
 }
 
 /// Entry point used by [`Tetris::run`] & friends for
@@ -378,17 +391,7 @@ impl<'a, O: BoxOracle + ?Sized> TaskHook<'_, '_, O> {
             if side1.first_thick_dim(&s.space).is_none() {
                 continue; // a unit box is not worth a task
             }
-            let mut seed = match self.ctx.scratch[self.worker.index()]
-                .lock()
-                .expect("scratch lock poisoned")
-                .pop()
-            {
-                Some(shard) => shard,
-                None => {
-                    s.stats.par_shard_allocs += 1;
-                    BoxTree::new(s.space.n())
-                }
-            };
+            let mut seed = self.ctx.take_shard(self.worker.index(), &mut s.stats);
             // `extract_intersecting_into` clears the shard before
             // refilling, so a recycled store starts exact.
             s.kb.shard.extract_intersecting_into(&side1, &mut seed);
@@ -495,4 +498,71 @@ fn run_task<O: BoxOracle + ?Sized>(ctx: &ParCtx<'_, O>, task: Task, worker: &Wor
         .lock()
         .expect("report lock poisoned")
         .push((outputs, sk.stats, sk.obs));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use boxstore::SetOracle;
+    use dyadic::Space;
+
+    /// Shard recycling, scripted on one worker's pool: a take reuses a
+    /// retired shard before it allocates, a reused shard comes back exact
+    /// once a donation's slice is extracted into it, and a pool holds at
+    /// most `SCRATCH_CAP` shards.
+    #[test]
+    fn shard_pool_reuses_retired_shards_before_allocating() {
+        let b = |s: &str| DyadicBox::parse(s).unwrap();
+        let oracle = SetOracle::new(Space::uniform(2, 3), Vec::new());
+        let base = BoxTree::new(2);
+        let stop = AtomicBool::new(false);
+        let scratch = [Mutex::new(Vec::new())];
+        let reports = Mutex::new(Vec::new());
+        let ctx = ParCtx {
+            oracle: &oracle,
+            config: TetrisConfig::default(),
+            base: &base,
+            stop_on_first: false,
+            stop: &stop,
+            scratch: &scratch,
+            reports: &reports,
+        };
+        let mut stats = TetrisStats::new(2);
+
+        // An empty pool allocates, and counts it.
+        let mut shard = ctx.take_shard(0, &mut stats);
+        assert_eq!(stats.par_shard_allocs, 1);
+
+        // A retired non-empty shard serves the next take: no allocation,
+        // and after the extract it equals a fresh store's extract.
+        for s in ["0,λ", "01,1", "1,10"] {
+            shard.insert(&b(s));
+        }
+        ctx.retire_shard(0, shard);
+        let mut reused = ctx.take_shard(0, &mut stats);
+        assert_eq!(stats.par_shard_allocs, 1, "a retired shard was pooled");
+        let mut donor = BoxTree::new(2);
+        for s in ["λ,0", "00,λ", "1,11", "11,λ"] {
+            donor.insert(&b(s));
+        }
+        let side1 = b("1,λ");
+        donor.extract_intersecting_into(&side1, &mut reused);
+        let mut fresh = BoxTree::new(2);
+        donor.extract_intersecting_into(&side1, &mut fresh);
+        assert_eq!(reused.len(), 3);
+        assert!(reused.arena_eq(&fresh), "a reused shard keeps stale boxes");
+
+        // Retiring beyond the cap drops the surplus: the pool serves
+        // `SCRATCH_CAP` takes, and the next one allocates.
+        for _ in 0..SCRATCH_CAP + 2 {
+            ctx.retire_shard(0, BoxTree::new(2));
+        }
+        assert_eq!(scratch[0].lock().unwrap().len(), SCRATCH_CAP);
+        for _ in 0..SCRATCH_CAP {
+            ctx.take_shard(0, &mut stats);
+        }
+        assert_eq!(stats.par_shard_allocs, 1);
+        ctx.take_shard(0, &mut stats);
+        assert_eq!(stats.par_shard_allocs, 2);
+    }
 }

@@ -1,7 +1,8 @@
 //! Stats-regression wall: pinned `TetrisStats` counters on three fixed
 //! instances — the paper's worked Example 4.4, a fixed skew-triangle
 //! join (m = 8, 6-bit domains) and a small power-law 4-cycle, where the
-//! resolvent cache changes the resolution count. The counters are the
+//! resolvent cache changes the resolution count — and on the
+//! load-balanced engine's Example F.1 sweep. The counters are the
 //! engine's observable cost model; an accidental change to the descent,
 //! the probe layer, or the knowledge base shows up here before it shows
 //! up in a benchmark.
@@ -24,11 +25,13 @@
 //! outputs — that direction is asserted structurally, not just pinned.
 
 use boxstore::SetOracle;
-use dyadic::{DyadicBox, Space};
+use dyadic::{DyadicBox, DyadicInterval, Space};
+use rand::{rngs::StdRng, Rng, SeedableRng};
 use tetris_join::plan::zoo;
 use tetris_join::prepared::PreparedJoin;
+use tetris_join::tetris::balance::{LbOutput, TetrisLB};
 use tetris_join::tetris::{Descent, Tetris, TetrisConfig, TetrisStats};
-use workload::{graphs, triangle};
+use workload::{bcp, graphs, triangle};
 
 /// The pinned counter subset: (restarts, oracle_probes, kb_inserts,
 /// resolutions, outputs, loaded_boxes, kb_queries).
@@ -233,6 +236,105 @@ fn power_law_four_cycle_counters_are_pinned() {
     });
     assert_eq!(tree.output.tuples, run.output.tuples);
     assert_eq!(tree.output.stats.resolutions, 11437, "4-cycle cache off");
+}
+
+/// One load-balanced run's pinned counters, as one line.
+fn lb_pin(label: &str, out: &LbOutput) -> String {
+    let s = &out.stats;
+    format!(
+        "{label}: phases={} rebuilds={} restarts={} kb_inserts={} +skips={} \
+         resolutions={} by_dim={:?} outputs={} splits={} kb_queries={} \
+         oracle_probes={} loaded_boxes={}",
+        out.phases,
+        s.rebuilds,
+        s.restarts,
+        s.kb_inserts,
+        s.kb_inserts + s.kb_insert_skips,
+        s.resolutions,
+        s.resolutions_by_dim,
+        s.outputs,
+        s.splits,
+        s.kb_queries,
+        s.oracle_probes,
+        s.loaded_boxes,
+    )
+}
+
+/// The load-balanced engine (Algorithm 5 and its online variant,
+/// Appendix F.6) on Example F.1 and on a random 3-dimensional instance
+/// whose online run rebuilds its partitions. The offline resolutions are
+/// `fig2`'s F2.4/F2.5 `lb_res` column.
+///
+/// Each phase runs on the engine's one descent loop. When it moved there
+/// from a private copy of Algorithm 1, every pinned counter but two kept
+/// its value. Witness streaming now drops subsumed resolvents, so
+/// `kb_inserts` fell while `+skips` (inserts plus skips) kept the old
+/// insert count. A phase stopped for a rebuild restarts once more before
+/// its hook fires, so `restarts` rose by `rebuilds`.
+#[test]
+fn load_balanced_counters_are_pinned() {
+    let mut got = Vec::new();
+    let mut record = |label: String, out: &LbOutput| {
+        // Algorithm 2 restarts at each phase's start and after each
+        // oracle probe.
+        assert_eq!(
+            out.stats.restarts,
+            u64::from(out.phases) + out.stats.oracle_probes,
+            "{label}"
+        );
+        got.push(lb_pin(&label, out));
+    };
+    for d in 4..=9u8 {
+        let (space, boxes) = bcp::example_f1(d);
+        let oracle = SetOracle::new(space, boxes);
+        let out = TetrisLB::preloaded(&oracle).run();
+        assert!(out.tuples.is_empty());
+        record(format!("f1 d={d} offline"), &out);
+    }
+    for d in 4..=7u8 {
+        let (space, boxes) = bcp::example_f1(d);
+        let oracle = SetOracle::new(space, boxes);
+        let out = TetrisLB::reloaded(&oracle).run();
+        assert!(out.tuples.is_empty());
+        record(format!("f1 d={d} online"), &out);
+    }
+    let mut rng = StdRng::seed_from_u64(7);
+    let boxes: Vec<DyadicBox> = (0..200)
+        .map(|_| {
+            let mut bx = DyadicBox::universe(3);
+            for i in 0..3 {
+                let len = rng.gen_range(1..=4u8);
+                bx.set(
+                    i,
+                    DyadicInterval::from_bits(rng.gen_range(0..(1u64 << len)), len),
+                );
+            }
+            bx
+        })
+        .collect();
+    let oracle = SetOracle::new(Space::uniform(3, 4), boxes);
+    let out = TetrisLB::reloaded(&oracle).run();
+    assert_eq!(out.tuples.len() as u64, out.stats.outputs);
+    record("random seed=7 online".to_string(), &out);
+
+    let expect = [
+        "f1 d=4 offline: phases=1 rebuilds=0 restarts=1 kb_inserts=38 +skips=50 resolutions=26 by_dim=[3, 7, 10, 6] outputs=0 splits=58 kb_queries=85 oracle_probes=0 loaded_boxes=0",
+        "f1 d=5 offline: phases=1 rebuilds=0 restarts=1 kb_inserts=86 +skips=118 resolutions=70 by_dim=[5, 23, 30, 12] outputs=0 splits=151 kb_queries=222 oracle_probes=0 loaded_boxes=0",
+        "f1 d=6 offline: phases=1 rebuilds=0 restarts=1 kb_inserts=170 +skips=238 resolutions=142 by_dim=[5, 47, 62, 28] outputs=0 splits=269 kb_queries=412 oracle_probes=0 loaded_boxes=0",
+        "f1 d=7 offline: phases=1 rebuilds=0 restarts=1 kb_inserts=404 +skips=606 resolutions=414 by_dim=[9, 159, 190, 56] outputs=0 splits=795 kb_queries=1210 oracle_probes=0 loaded_boxes=0",
+        "f1 d=8 offline: phases=1 rebuilds=0 restarts=1 kb_inserts=804 +skips=1214 resolutions=830 by_dim=[9, 319, 382, 120] outputs=0 splits=1491 kb_queries=2322 oracle_probes=0 loaded_boxes=0",
+        "f1 d=9 offline: phases=1 rebuilds=0 restarts=1 kb_inserts=2120 +skips=3454 resolutions=2686 by_dim=[17, 1151, 1278, 240] outputs=0 splits=5035 kb_queries=7722 oracle_probes=0 loaded_boxes=0",
+        "f1 d=4 online: phases=2 rebuilds=1 restarts=26 kb_inserts=64 +skips=94 resolutions=54 by_dim=[3, 7, 14, 30] outputs=0 splits=484 kb_queries=623 oracle_probes=24 loaded_boxes=24",
+        "f1 d=5 online: phases=3 rebuilds=2 restarts=51 kb_inserts=216 +skips=319 resolutions=223 by_dim=[5, 29, 93, 96] outputs=0 splits=1448 kb_queries=1864 oracle_probes=48 loaded_boxes=48",
+        "f1 d=6 online: phases=4 rebuilds=3 restarts=100 kb_inserts=339 +skips=460 resolutions=252 by_dim=[8, 51, 98, 95] outputs=0 splits=2781 kb_queries=3466 oracle_probes=96 loaded_boxes=96",
+        "f1 d=7 online: phases=5 rebuilds=4 restarts=197 kb_inserts=776 +skips=1112 resolutions=680 by_dim=[15, 167, 288, 210] outputs=0 splits=6652 kb_queries=8293 oracle_probes=192 loaded_boxes=192",
+        "random seed=7 online: phases=4 rebuilds=3 restarts=283 kb_inserts=1295 +skips=1742 resolutions=975 by_dim=[4, 64, 296, 611] outputs=236 splits=5491 kb_queries=8396 oracle_probes=279 loaded_boxes=65",
+    ];
+    assert_eq!(
+        got, expect,
+        "load-balanced counters moved — if intended, follow the update \
+         protocol in tests/stats_regression.rs"
+    );
 }
 
 /// The observability histograms (PR 9) pinned on the same two fixed
