@@ -21,10 +21,12 @@
 //!
 //! The incremental engines go further with **frame-saved frontiers**
 //! ([`FrontierStack`]): every failed containment probe records the tree
-//! positions it reached, the store keeps a rolling log of recent inserts,
-//! and a later probe for the target's *sibling* half advances the saved
-//! frontier and repairs it against the log instead of re-walking — the
-//! repaired answer is bit-identical to a fresh walk. For the parallel
+//! positions it reached and the next level's roots on its path, the
+//! store keeps a rolling log of recent inserts, and a later probe for
+//! the target's *sibling* half advances the saved frontier and repairs
+//! it against the log instead of re-walking. A child that ends its
+//! dimension carries the frontier into the next one through the roots.
+//! Every such answer is bit-identical to a fresh walk. For the parallel
 //! descent, [`BoxTree::extract_intersecting_into`] carves the shard of a
 //! store that matters inside a donated half-box.
 //!

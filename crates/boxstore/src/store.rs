@@ -23,10 +23,20 @@ const _: () = assert!(REPAIR_CAP.is_power_of_two());
 
 /// Reusable state for [`crate::BoxTree::find_containing_tracked`]: the
 /// frontier of the last failed probe, valid for the immediate child of
-/// the recorded target. The frontier is *complete* with respect to every
-/// insert before `mark`; up to [`REPAIR_CAP`] later inserts can be
-/// repaired in from the store's rolling log, anything older falls back
-/// to a full walk.
+/// the recorded target, and for the child that ends the probed dimension
+/// when it is probed on the next one. The frontier is *complete* with
+/// respect to every insert before `mark`; up to [`REPAIR_CAP`] later
+/// inserts can be repaired in from the store's rolling log. After the
+/// first probe, a full walk happens only when the frontier lags by more
+/// than that, after a clear or bulk load, when the next probe skips a
+/// zero-width dimension, or when the target is not such a child.
+///
+/// Besides the frontier entries it keeps the next level's **roots**: the
+/// live `next` links on the probed component's path, at every depth up
+/// to `len`, under every tracked combination of earlier prefixes. They
+/// are the positions a full walk would record one dimension further on,
+/// so a probe that crosses into that dimension takes them as its
+/// entries instead of re-walking the store (DESIGN.md §8).
 ///
 /// The engine treats the frontier as opaque and reads only the
 /// diagnostic counters.
@@ -34,6 +44,10 @@ const _: () = assert!(REPAIR_CAP.is_power_of_two());
 pub struct DescentProbe {
     /// Recorded frontier positions, in DFS order.
     pub(crate) entries: Vec<BinaryEntry>,
+    /// The next level's roots on the probed component's path, each with
+    /// its prefix lengths through `dim` (the depth it hangs at is
+    /// `lens[dim]`). Unordered until a crossing sorts them.
+    pub(crate) roots: Vec<BinaryEntry>,
     /// The last failed probe's target (`None` = no valid frontier).
     pub(crate) last: Option<DyadicBox>,
     /// The probed dimension the frontier was recorded for.
@@ -82,6 +96,32 @@ impl DescentProbe {
     pub fn invalidate(&mut self) {
         self.last = None;
         self.entries.clear();
+        self.roots.clear();
+    }
+
+    /// Whether two probes hold the same frontier: the same probed
+    /// dimension and length, the same entries in the same order, and the
+    /// same set of next-level roots. A carried frontier must equal the
+    /// one a fresh full walk of the same target records; the
+    /// store-conformance wall checks it with this.
+    #[doc(hidden)]
+    pub fn same_frontier(&self, other: &DescentProbe) -> bool {
+        let dim = self.dim as usize;
+        let pos = |e: &BinaryEntry, k: usize| (e.node, e.lens[..k].to_vec());
+        let roots = |p: &DescentProbe| {
+            let mut r: Vec<_> = p.roots.iter().map(|e| pos(e, dim + 1)).collect();
+            r.sort();
+            r
+        };
+        self.last.is_some()
+            && other.last.is_some()
+            && (self.dim, self.len) == (other.dim, other.len)
+            && self
+                .entries
+                .iter()
+                .map(|e| pos(e, dim))
+                .eq(other.entries.iter().map(|e| pos(e, dim)))
+            && roots(self) == roots(other)
     }
 }
 
@@ -100,12 +140,14 @@ impl DescentProbe {
 #[derive(Debug, Default)]
 pub struct FrontierStack {
     arena: Vec<BinaryEntry>,
+    roots: Vec<BinaryEntry>,
     frames: Vec<SavedMeta>,
 }
 
 #[derive(Clone, Copy, Debug)]
 struct SavedMeta {
     start: usize,
+    roots_start: usize,
     dim: u8,
     len: u8,
     mark: u64,
@@ -135,12 +177,14 @@ impl FrontierStack {
         debug_assert!(probe.last.is_some(), "only failed probes have frontiers");
         self.frames.push(SavedMeta {
             start: self.arena.len(),
+            roots_start: self.roots.len(),
             dim: probe.dim,
             len: probe.len,
             mark: probe.mark,
             clears: probe.clears,
         });
         self.arena.extend_from_slice(&probe.entries);
+        self.roots.extend_from_slice(&probe.roots);
     }
 
     /// Discard the top frame's saved frontier (mirrors a frame pop).
@@ -148,6 +192,7 @@ impl FrontierStack {
     pub fn pop(&mut self) {
         if let Some(m) = self.frames.pop() {
             self.arena.truncate(m.start);
+            self.roots.truncate(m.roots_start);
         }
     }
 
@@ -156,12 +201,14 @@ impl FrontierStack {
     pub fn clear(&mut self) {
         self.frames.clear();
         self.arena.clear();
+        self.roots.clear();
     }
 
-    /// Restore the top frame's saved frontier into `probe` as the failed
-    /// probe of `parent` (the frame's reconstructed target), so the next
-    /// tracked query for the parent's 1-side child advances it. Returns
-    /// `false` when there is nothing to restore.
+    /// Restore the top frame's saved frontier and roots into `probe` as
+    /// the failed probe of `parent` (the frame's reconstructed target), so
+    /// the next tracked query for the parent's 1-side child advances it,
+    /// and crosses into the next dimension when that child ends the
+    /// parent's. Returns `false` when there is nothing to restore.
     #[inline]
     pub fn restore_top(&self, parent: &DyadicBox, probe: &mut DescentProbe) -> bool {
         let Some(m) = self.frames.last() else {
@@ -170,6 +217,8 @@ impl FrontierStack {
         debug_assert_eq!(m.len, parent.get(m.dim as usize).len());
         probe.entries.clear();
         probe.entries.extend_from_slice(&self.arena[m.start..]);
+        probe.roots.clear();
+        probe.roots.extend_from_slice(&self.roots[m.roots_start..]);
         probe.dim = m.dim;
         probe.len = m.len;
         probe.mark = m.mark;
@@ -252,11 +301,18 @@ impl InsertLog {
     /// One pass over the window `[mark, insert_count)` serving a frontier
     /// repair that intends to **advance `mark` past the window**: returns
     /// the DFS-least containing insert (exactly `best_candidate`) and
-    /// hands every *graft* to the callback — a lagging insert that
-    /// extended the probed path strictly below the frontier depth, i.e. a
-    /// tree position the recorded entries cannot know about. Folding the
-    /// grafts into the entries is what makes advancing `mark` sound:
-    /// every other window insert is either a containment candidate
+    /// hands two kinds of window insert to the callbacks:
+    ///
+    /// * `graft`: an insert whose probed component reaches the probed
+    ///   depth on the target's path, i.e. a tree position at the frontier
+    ///   depth the recorded entries may not know about;
+    /// * `root`: an insert that ends its probed component on the target's
+    ///   path, shallower than the probed depth, and continues on a later
+    ///   dimension, i.e. a next-level root the recorded roots may not
+    ///   know about.
+    ///
+    /// Folding both into the probe state is what makes advancing `mark`
+    /// sound: every other window insert is either a containment candidate
     /// (decided here, and decided identically by every deeper probe of
     /// the chain) or permanently incompatible with the chain's fixed
     /// earlier-dimension components.
@@ -268,6 +324,7 @@ impl InsertLog {
         dim: usize,
         mark: u64,
         mut graft: impl FnMut(&DyadicBox),
+        mut root: impl FnMut(&DyadicBox),
     ) -> Option<([u8; MAX_DIMS], DyadicBox)> {
         debug_assert!(self.lag(mark) <= REPAIR_CAP);
         let iv = b.get(dim);
@@ -281,17 +338,20 @@ impl InsertLog {
                 }
             }
             let cd = c.get(dim);
-            if cd.len() > iv.len() {
-                if cd.truncate(iv.len()) == iv {
-                    graft(c);
-                }
+            if cd.len() >= iv.len() && cd.truncate(iv.len()) == iv {
+                graft(c);
+            }
+            if cd.len() > iv.len() || iv.truncate(cd.len()) != cd {
                 continue;
             }
-            if iv.truncate(cd.len()) == cd && (dim + 1..b.n()).all(|j| c.get(j).is_lambda()) {
+            // `c` ends its probed component on the target's path.
+            if (dim + 1..b.n()).all(|j| c.get(j).is_lambda()) {
                 let key = lens_key_of_box(c, dim);
                 if best.as_ref().is_none_or(|(k, _)| key < *k) {
                     best = Some((key, *c));
                 }
+            } else if cd.len() < iv.len() {
+                root(c);
             }
         }
         best

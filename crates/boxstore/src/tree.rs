@@ -1,7 +1,9 @@
 //! The multilevel dyadic tree (paper Appendix C.1): the knowledge base
 //! every Tetris engine runs on.
 
-use crate::store::{is_child_at, DescentProbe, InsertCursor, InsertLog, REPAIR_CAP};
+use crate::store::{
+    is_child_at, lens_key_of_box, DescentProbe, InsertCursor, InsertLog, REPAIR_CAP,
+};
 use dyadic::{DyadicBox, DyadicInterval, MAX_DIMS};
 
 mod bulk;
@@ -126,8 +128,8 @@ pub struct BoxTree {
 /// witness box on a later hit).
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct BinaryEntry {
-    node: u32,
-    lens: [u8; MAX_DIMS],
+    pub(crate) node: u32,
+    pub(crate) lens: [u8; MAX_DIMS],
 }
 
 impl BoxTree {
@@ -497,20 +499,33 @@ impl BoxTree {
 
     /// [`BoxTree::find_containing`] with an **incremental-descent fast
     /// path**. `dim` is the probe target's first thick dimension (the one
-    /// the skeleton last extended; pass `n − 1` for unit boxes).
+    /// the skeleton last extended; pass `n − 1` for unit boxes). The
+    /// target must be `λ` on every dimension after `dim`.
     ///
     /// A failed probe records, in `state`, the set of tree positions
     /// compatible with the target (one per combination of stored prefixes
-    /// on the earlier dimensions) together with the store's insert count.
-    /// When the next probe is for a **child** of the last target (one bit
-    /// appended at `dim`) *at the same count*, the recorded frontier is
-    /// advanced by that single bit instead of re-walking the tree from
-    /// the root. This is exact, not heuristic: at an unchanged store, any
-    /// witness for the child whose `dim` component were shorter than the
-    /// child's would also contain the already-probed parent — so only
-    /// positions at full depth (the recorded ones, advanced) can produce
-    /// a hit, and scanning them in recorded (DFS) order returns the
-    /// identical witness the full walk would find.
+    /// on the earlier dimensions) together with the store's insert count,
+    /// and the next level's roots on the target's path. When the next
+    /// probe is for a **child** of the last target (one bit appended at
+    /// `dim`) *at the same count*, the recorded frontier is advanced by
+    /// that single bit instead of re-walking the tree from the root. This
+    /// is exact, not heuristic: at an unchanged store, any witness for the
+    /// child whose `dim` component were shorter than the child's would
+    /// also contain the already-probed parent — so only positions at full
+    /// depth (the recorded ones, advanced) can produce a hit, and scanning
+    /// them in recorded (DFS) order returns the identical witness the full
+    /// walk would find.
+    ///
+    /// When the child is probed on the **next** dimension (`dim` is one
+    /// past the recorded one and the child is `λ` there: the appended bit
+    /// ended the recorded dimension), the frontier is advanced the same
+    /// way and then *crosses*: the recorded roots, sorted into DFS order,
+    /// become the new frontier. A frontier that lags the store by up to
+    /// [`REPAIR_CAP`] inserts is repaired from the insert log on the way.
+    /// After the first probe, a full walk therefore means a lag above
+    /// [`REPAIR_CAP`], a clear or bulk load since the frontier was
+    /// recorded, a zero-width dimension between the two probed ones, or a
+    /// target that is no such child.
     pub fn find_containing_tracked(
         &self,
         b: &DyadicBox,
@@ -519,30 +534,72 @@ impl BoxTree {
     ) -> Option<DyadicBox> {
         debug_assert_eq!(b.n(), self.n);
         debug_assert!(dim < self.n);
-        let iv = b.get(dim);
         if let Some(last) = state.last {
+            let sd = state.dim as usize;
+            // The child probed on the recorded dimension, or the child
+            // that ends it, probed on the next one (the crossing).
+            let crossing = dim == sd + 1 && b.get(dim).is_lambda();
             if state.clears == self.log.clears()
-                && state.dim == dim as u8
-                && iv.len() == state.len + 1
-                && is_child_at(b, &last, dim)
+                && (dim == sd || crossing)
+                && b.get(sd).len() == state.len + 1
+                && is_child_at(b, &last, sd)
             {
                 // How many inserts the recorded frontier is missing. The
                 // frontier is complete w.r.t. every insert before
                 // `state.mark`; the rest live in the rolling log.
                 let lag = self.log.lag(state.mark);
-                if lag == 0 {
-                    state.advances += 1;
-                    return self.advance_probe(b, dim, state);
-                }
                 if lag <= REPAIR_CAP {
-                    state.repairs += 1;
-                    state.last_repair_window = lag;
-                    return self.advance_repair(b, dim, state);
+                    let hit = if lag == 0 {
+                        state.advances += 1;
+                        self.advance_probe(b, sd, state)
+                    } else {
+                        state.repairs += 1;
+                        state.last_repair_window = lag;
+                        self.advance_repair(b, sd, state)
+                    };
+                    if crossing && hit.is_none() {
+                        self.cross(state);
+                    }
+                    return hit;
                 }
             }
         }
         state.full_walks += 1;
         self.full_probe(b, dim, state)
+    }
+
+    /// Carry a missed probe's frontier from the dimension it just ended
+    /// into the next one: the recorded roots are exactly the positions a
+    /// full walk of the next dimension records, one per root, and sorting
+    /// them by their prefix lengths puts them in that walk's DFS order.
+    /// Each new entry's live `next` link becomes a root in turn.
+    fn cross(&self, state: &mut DescentProbe) {
+        let d = state.dim as usize;
+        state
+            .roots
+            .sort_unstable_by(|a, b| a.lens[..=d].cmp(&b.lens[..=d]));
+        debug_assert!(
+            state
+                .roots
+                .windows(2)
+                .all(|w| w[0].lens[..=d] < w[1].lens[..=d]),
+            "a root was recorded twice"
+        );
+        std::mem::swap(&mut state.entries, &mut state.roots);
+        state.roots.clear();
+        for e in &state.entries {
+            // A box λ from level d+1 on would have set the λ-tail bit on
+            // its level-d end node, where the advance looked for hits.
+            debug_assert!(!self.lambda_tail(e.node, d + 1), "a root hits");
+            let next = self.nodes[e.node as usize].next();
+            if next != NONE {
+                let mut lens = e.lens;
+                lens[d + 1] = 0;
+                state.roots.push(BinaryEntry { node: next, lens });
+            }
+        }
+        state.dim += 1;
+        state.len = 0;
     }
 
     /// Advance the recorded frontier by the one bit appended at `dim`.
@@ -572,6 +629,7 @@ impl BoxTree {
                 state.invalidate(); // covered: the descent stops here
                 return Some(w);
             }
+            self.note_root(&mut state.roots, e, dim, iv.len());
             state.entries[kept] = e;
             kept += 1;
         }
@@ -602,13 +660,20 @@ impl BoxTree {
     ) -> Option<DyadicBox> {
         let iv = b.get(dim);
         // Best candidate among the lagging inserts, keyed by DFS order —
-        // plus the grafts: lagging inserts that extended the probed path
-        // below the frontier, which must join the entries so `mark` can
-        // advance past this window (see [`InsertLog::scan_repair`]).
+        // plus the grafts (lagging inserts that reach the probed position
+        // on the target's path) and the new roots (lagging inserts that
+        // end their component on the path and continue), which must join
+        // the entries and the roots so `mark` can advance past this
+        // window (see [`InsertLog::scan_repair`]).
         let mut grafts: Vec<DyadicBox> = Vec::new();
-        let best_new = self
-            .log
-            .scan_repair(b, dim, state.mark, |c| grafts.push(*c));
+        let mut new_roots: Vec<DyadicBox> = Vec::new();
+        let best_new = self.log.scan_repair(
+            b,
+            dim,
+            state.mark,
+            |c| grafts.push(*c),
+            |c| new_roots.push(*c),
+        );
         state.last_repair_hit = best_new.is_some();
         // First hit among the recorded (pre-mark) positions. Entries are
         // stored in DFS order, so the first hit is also the DFS-least.
@@ -634,6 +699,7 @@ impl BoxTree {
                 old_hit = Some((key, w));
                 break;
             }
+            self.note_root(&mut state.roots, e, dim, iv.len());
             state.entries[kept] = e;
             kept += 1;
         }
@@ -647,22 +713,36 @@ impl BoxTree {
             return hit;
         }
         state.entries.truncate(kept);
-        // Fold the grafts into the (DFS-ordered) entries, then advance
-        // `mark` past the window: each lagging insert is thereby examined
-        // once per chain, not once per subsequent advance.
+        // Fold the grafts into the (DFS-ordered) entries and the new roots
+        // into the roots, then advance `mark` past the window: each
+        // lagging insert is thereby examined once per chain, not once per
+        // subsequent advance.
         for c in &grafts {
-            let node = self.graft_node(c, b, dim);
+            let node = self.path_node(c, dim, iv.len());
             if state.entries.iter().any(|e| e.node == node) {
                 continue; // the position was already tracked
             }
-            let mut lens = [0u8; MAX_DIMS];
-            for (j, slot) in lens.iter_mut().enumerate().take(dim) {
-                *slot = c.get(j).len();
-            }
+            let e = BinaryEntry {
+                node,
+                lens: lens_key_of_box(c, dim),
+            };
+            self.note_root(&mut state.roots, e, dim, iv.len());
             let pos = state
                 .entries
-                .partition_point(|e| e.lens[..dim] <= lens[..dim]);
-            state.entries.insert(pos, BinaryEntry { node, lens });
+                .partition_point(|x| x.lens[..dim] <= e.lens[..dim]);
+            state.entries.insert(pos, e);
+        }
+        for c in &new_roots {
+            let depth = c.get(dim).len();
+            let node = self.nodes[self.path_node(c, dim, depth) as usize].next();
+            debug_assert!(
+                node != NONE && node != LEAF,
+                "{c} continues past level {dim}"
+            );
+            if !state.roots.iter().any(|r| r.node == node) {
+                let lens = lens_key_of_box(c, dim);
+                state.roots.push(BinaryEntry { node, lens });
+            }
         }
         state.mark = self.log.insert_count();
         state.len = iv.len();
@@ -674,11 +754,11 @@ impl BoxTree {
         None
     }
 
-    /// The tree node a graft's insert reached at the probed position —
-    /// `c`'s earlier-dimension components followed by the first `|b[dim]|`
-    /// bits of the probed dimension. Read-only: every node on the path
-    /// exists because `c` itself was inserted through it.
-    fn graft_node(&self, c: &DyadicBox, b: &DyadicBox, dim: usize) -> u32 {
+    /// The tree node an insert of `c` reached `depth` bits into level
+    /// `dim`: `c`'s earlier-dimension components followed by the first
+    /// `depth` bits of `c[dim]`. Read-only: every node on the path exists
+    /// because `c` itself was inserted through it.
+    fn path_node(&self, c: &DyadicBox, dim: usize, depth: u8) -> u32 {
         let mut node = self.root;
         for j in 0..dim {
             let cv = c.get(j);
@@ -688,12 +768,24 @@ impl BoxTree {
             }
             node = self.node(node).next();
         }
-        let iv = b.get(dim);
-        for k in 0..iv.len() {
-            let bit = ((iv.bits() >> (iv.len() - 1 - k)) & 1) as usize;
+        let cv = c.get(dim);
+        for k in 0..depth {
+            let bit = ((cv.bits() >> (cv.len() - 1 - k)) & 1) as usize;
             node = self.node(node).children[bit];
         }
         node
+    }
+
+    /// Record `e`'s next-level root, if its node at `depth` bits into
+    /// level `dim` has one. `e.node` is real: a leaf would have been a hit.
+    #[inline]
+    fn note_root(&self, roots: &mut Vec<BinaryEntry>, e: BinaryEntry, dim: usize, depth: u8) {
+        let next = self.nodes[e.node as usize].next();
+        if next != NONE {
+            let mut lens = e.lens;
+            lens[dim] = depth;
+            roots.push(BinaryEntry { node: next, lens });
+        }
     }
 
     /// Whether a box ends through `node` at level `dim` with `λ`
@@ -728,17 +820,10 @@ impl BoxTree {
     /// Full walk that records the frontier for later advancing.
     fn full_probe(&self, b: &DyadicBox, dim: usize, state: &mut DescentProbe) -> Option<DyadicBox> {
         state.entries.clear();
+        state.roots.clear();
         let mut lens = [0u8; MAX_DIMS];
         let mut scratch = DyadicBox::universe(self.n);
-        if self.walk_record(
-            self.root,
-            0,
-            b,
-            dim,
-            &mut lens,
-            &mut scratch,
-            &mut state.entries,
-        ) {
+        if self.walk_record(self.root, 0, b, dim, &mut lens, &mut scratch, state) {
             state.last = None; // covered targets are never extended
             Some(scratch)
         } else {
@@ -752,7 +837,9 @@ impl BoxTree {
     }
 
     /// First-hit DFS that also records every position at `(dim, |b[dim]|)`
-    /// (the extendable frontier) into `entries`.
+    /// (the extendable frontier) into `state.entries`, and every live
+    /// `next` link on level `dim` (the next level's roots) into
+    /// `state.roots`.
     #[allow(clippy::too_many_arguments)]
     fn walk_record(
         &self,
@@ -762,7 +849,7 @@ impl BoxTree {
         dim: usize,
         lens: &mut [u8; MAX_DIMS],
         scratch: &mut DyadicBox,
-        entries: &mut Vec<BinaryEntry>,
+        state: &mut DescentProbe,
     ) -> bool {
         let iv = b.get(level);
         let last = level + 1 == self.n;
@@ -770,7 +857,7 @@ impl BoxTree {
         let mut k = 0u8;
         loop {
             if level == dim && k == iv.len() {
-                entries.push(BinaryEntry { node, lens: *lens });
+                state.entries.push(BinaryEntry { node, lens: *lens });
             }
             let nd = self.node(node);
             if last {
@@ -781,7 +868,13 @@ impl BoxTree {
             } else if nd.next() != NONE {
                 scratch.set(level, iv.truncate(k));
                 lens[level] = k;
-                if self.walk_record(nd.next(), level + 1, b, dim, lens, scratch, entries) {
+                if level == dim {
+                    state.roots.push(BinaryEntry {
+                        node: nd.next(),
+                        lens: *lens,
+                    });
+                }
+                if self.walk_record(nd.next(), level + 1, b, dim, lens, scratch, state) {
                     return true;
                 }
             }
@@ -799,16 +892,9 @@ impl BoxTree {
     }
 
     /// Collect **all** stored boxes containing `b` (oracle access,
-    /// Algorithm 2 line 4). By Proposition B.12 there are at most
-    /// `∏ᵢ(dᵢ+1)` of them.
-    pub fn all_containing(&self, b: &DyadicBox) -> Vec<DyadicBox> {
-        let mut out = Vec::new();
-        self.all_containing_into(b, &mut out);
-        out
-    }
-
-    /// [`BoxTree::all_containing`] into a caller-owned buffer (cleared
-    /// first), so per-probe allocation can be amortized across a run.
+    /// Algorithm 2 line 4) into a caller-owned buffer, cleared first, so
+    /// per-probe allocation is amortized across a run. By Proposition
+    /// B.12 there are at most `∏ᵢ(dᵢ+1)` of them.
     pub fn all_containing_into(&self, b: &DyadicBox, out: &mut Vec<DyadicBox>) {
         debug_assert_eq!(b.n(), self.n);
         out.clear();
@@ -1006,7 +1092,7 @@ impl FromIterator<DyadicBox> for BoxTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::{lens_key_of_box, FrontierStack};
+    use crate::store::FrontierStack;
     use dyadic::Space;
 
     fn b(s: &str) -> DyadicBox {
@@ -1063,7 +1149,8 @@ mod tests {
         for s in ["λ,λ", "0,λ", "00,λ", "00,0", "00,00", "1,λ", "00,1"] {
             t.insert(&b(s));
         }
-        let mut hits = t.all_containing(&b("00,00"));
+        let mut hits = Vec::new();
+        t.all_containing_into(&b("00,00"), &mut hits);
         hits.sort();
         assert_eq!(
             hits,
@@ -1089,6 +1176,7 @@ mod tests {
             }
             bx
         };
+        let mut got = Vec::new();
         for _ in 0..30 {
             let stored: Vec<DyadicBox> = (0..rng.gen_range(1..40))
                 .map(|_| rand_box(&mut rng))
@@ -1106,7 +1194,7 @@ mod tests {
                     v.dedup();
                     v
                 };
-                let mut got = tree.all_containing(&probe);
+                tree.all_containing_into(&probe, &mut got);
                 got.sort();
                 got.dedup();
                 assert_eq!(got, expect, "probe {probe}");

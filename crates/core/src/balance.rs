@@ -24,7 +24,7 @@
 //! F.6: boxes load on demand and the partitions are rebuilt (from scratch)
 //! whenever the loaded set doubles — `O(log |C|)` rebuilds total.
 
-use crate::engine::Sched;
+use crate::engine::{Sched, Sequential};
 use crate::{Descent, Tetris, TetrisConfig, TetrisStats};
 use boxstore::BoxOracle;
 use dyadic::{DyadicBox, DyadicInterval, Space};
@@ -349,10 +349,15 @@ impl<'o, O: BoxOracle + ?Sized> TetrisLB<'o, O> {
                 preload: self.preload,
                 ..Default::default()
             };
-            let out = Tetris::with_config(self.oracle, config).run();
+            let mut engine = Tetris::with_config(self.oracle, config);
+            let mut tuples = Vec::new();
+            engine.solve(&mut Sequential, |t| {
+                tuples.push(t.to_vec());
+                stop_on_output
+            });
             return LbOutput {
-                tuples: out.tuples,
-                stats: out.stats,
+                tuples,
+                stats: engine.0.stats,
                 phases: 1,
             };
         }
@@ -677,6 +682,22 @@ mod tests {
         let out = TetrisLB::reloaded(&oracle).run();
         assert_eq!(out.tuples.len(), 8);
         assert_eq!(out.phases, 1);
+    }
+
+    #[test]
+    fn low_dimensional_check_cover_stops_at_the_first_output() {
+        // A 2 × 3-bit space holding only ⟨0,λ⟩ leaves 32 points uncovered;
+        // the Boolean answer needs the first of them and nothing more.
+        let space = Space::uniform(2, 3);
+        let oracle = SetOracle::new(space, vec![DyadicBox::parse("0,λ").unwrap()]);
+        let (lb_covered, lb) = TetrisLB::reloaded(&oracle).check_cover();
+        let (covered, plain) = Tetris::reloaded(&oracle).check_cover();
+        assert!(!lb_covered && !covered);
+        assert_eq!((plain.outputs, plain.resolutions), (1, 0));
+        assert_eq!((lb.outputs, lb.resolutions), (1, 0));
+        let (lb_covered, lb) = TetrisLB::preloaded(&oracle).check_cover();
+        assert!(!lb_covered);
+        assert_eq!(lb.outputs, 1);
     }
 
     #[test]

@@ -145,6 +145,18 @@ pub(crate) struct Frame {
 }
 
 impl Frame {
+    /// Whether `w` covers this frame's target, for a `w` that contains
+    /// some box nested in that target. Every witness the unwind holds
+    /// does (DESIGN.md §8), so `w` agrees with the target on the
+    /// full-width components before `dim`, and two facts decide: `w`'s
+    /// component at `dim` is no longer than the target's, and `w` is `λ`
+    /// after `dim`.
+    #[inline]
+    pub(crate) fn covers_nested(&self, w: &DyadicBox) -> bool {
+        let dim = self.dim as usize;
+        w.get(dim).len() <= self.len && (dim + 1..w.n()).all(|i| w.get(i).is_lambda())
+    }
+
     /// Whether `w` covers this frame's (reconstructed) target.
     #[inline]
     pub(crate) fn covered_by(&self, w: &DyadicBox, cur: &DyadicBox) -> bool {
@@ -327,7 +339,7 @@ pub(crate) trait Sched<S> {
 }
 
 /// The sequential driver's hook: no cancellation, no donation.
-struct Sequential;
+pub(crate) struct Sequential;
 
 impl<S> Sched<S> for Sequential {}
 
@@ -571,6 +583,19 @@ impl<'o, O: BoxOracle + ?Sized, K: KbView> Skeleton<'o, O, K> {
         self.config.descent == Descent::RestartMemo && self.config.cache_resolvents
     }
 
+    /// The first thick dimension of a target that was just given a
+    /// component of length `len` at `dim`: it is full width before `dim`
+    /// and `λ` after it, so that is `dim` while the component is short,
+    /// and otherwise the next dimension of nonzero width.
+    #[inline]
+    fn thick_after(&self, dim: usize, len: u8) -> Option<usize> {
+        if len < self.space.width(dim) {
+            Some(dim)
+        } else {
+            (dim + 1..self.space.n()).find(|&i| self.space.width(i) > 0)
+        }
+    }
+
     /// The one descent loop: an incremental skeleton descent of `target`
     /// (Algorithms 1+2 fused), with optional paper-literal restarts.
     /// `on_output` receives each tuple and returns `true` to stop
@@ -583,6 +608,9 @@ impl<'o, O: BoxOracle + ?Sized, K: KbView> Skeleton<'o, O, K> {
         mut on_output: impl FnMut(&[u64]) -> bool,
     ) -> Option<DyadicBox> {
         let mut cur = target;
+        // `cur`'s first thick dimension, carried as `cur` moves.
+        let target_thick = target.first_thick_dim(&self.space);
+        let mut thick = target_thick;
         // `saving` is the incremental descent, the only one that keeps
         // frames across events. Only then do frame-saved frontiers pay
         // off (the restart modes tear the stack down, and RestartMemo may
@@ -611,7 +639,7 @@ impl<'o, O: BoxOracle + ?Sized, K: KbView> Skeleton<'o, O, K> {
                 if hook.poll(self, &cur) {
                     return None;
                 }
-                let thick = cur.first_thick_dim(&self.space);
+                debug_assert_eq!(thick, cur.first_thick_dim(&self.space));
                 let probe_dim = thick.unwrap_or(self.space.n() - 1);
                 let mut known_uncovered = false;
                 if self.memoizing() {
@@ -665,6 +693,7 @@ impl<'o, O: BoxOracle + ?Sized, K: KbView> Skeleton<'o, O, K> {
                         self.frontiers.push_saved(self.kb.saved_probe());
                     }
                     cur.set(dim, iv.child(0));
+                    thick = self.thick_after(dim, iv.len() + 1);
                     continue;
                 }
                 // Uncovered unit box: absorb it (load its gap boxes or
@@ -677,6 +706,7 @@ impl<'o, O: BoxOracle + ?Sized, K: KbView> Skeleton<'o, O, K> {
                         self.stack.clear();
                         self.frontiers.clear();
                         cur = target;
+                        thick = target_thick;
                         self.stats.restarts += 1;
                         self.emit(|| TraceEvent::Restart);
                         continue 'descend;
@@ -692,7 +722,9 @@ impl<'o, O: BoxOracle + ?Sized, K: KbView> Skeleton<'o, O, K> {
                     }
                     return Some(witness); // the whole target is covered
                 };
-                if top.covered_by(&witness, &cur) {
+                let covered = top.covers_nested(&witness);
+                debug_assert_eq!(covered, top.covered_by(&witness, &cur));
+                if covered {
                     if self.memoizing() {
                         let t = top.target(&cur);
                         self.marks.mark_covered(&t, &self.space, witness);
@@ -725,12 +757,12 @@ impl<'o, O: BoxOracle + ?Sized, K: KbView> Skeleton<'o, O, K> {
                         for i in dim + 1..self.space.n() {
                             cur.set(i, DyadicInterval::lambda());
                         }
+                        thick = self.thick_after(dim, top.len + 1);
                         // Hand the frame's saved frontier to the probe so
-                        // the 1-side's first query advances+repairs it.
-                        // Skipped when the child exhausts the dimension:
-                        // the next probe targets a different dimension and
-                        // could not use the frontier anyway.
-                        if saving && u16::from(top.len) + 1 < u16::from(self.space.width(dim)) {
+                        // the 1-side's first query advances+repairs it, and
+                        // crosses into the next dimension when the 1-side
+                        // ends this one.
+                        if saving {
                             self.frontiers.restore_top(&parent, self.kb.saved_probe());
                         }
                         // Leaving the unwind: materialize the in-flight

@@ -26,7 +26,9 @@ pub struct TetrisStats {
     pub mark_hits: u64,
     /// Knowledge-base probes answered by advancing the previous probe's
     /// recorded frontier by one bit (store unchanged since the frontier
-    /// was recorded) instead of re-walking the store.
+    /// was recorded) instead of re-walking the store. A probe whose bit
+    /// ends its dimension also carries the frontier into the next one
+    /// (DESIGN.md §8) and counts here.
     pub probe_advances: u64,
     /// Knowledge-base probes answered by advancing a **frame-saved**
     /// frontier and repairing it against the store's rolling insert log:
@@ -35,7 +37,13 @@ pub struct TetrisStats {
     /// incremental descent skips dead inserts), so a preloaded run that
     /// keeps no resolvent during solve makes none.
     pub probe_repairs: u64,
-    /// Knowledge-base probes that performed a full store walk.
+    /// Knowledge-base probes that performed a full store walk. The first
+    /// probe of a descent is one. Under the sequential incremental
+    /// descent every later one means the frontier lagged the store by
+    /// more than `boxstore::REPAIR_CAP` inserts, the store was cleared,
+    /// or the probe crossed a zero-width dimension. The restart modes
+    /// also walk after every restart, and `RestartMemo` after a probe its
+    /// marks answered.
     pub probe_full_walks: u64,
     /// Boxes inserted into the knowledge base (all sources).
     pub kb_inserts: u64,

@@ -61,6 +61,7 @@ fn assert_same_store(oracle: &JoinOracle<'_>, label: &str, rng: &mut StdRng) -> 
     );
     assert!(bulk.arena_eq(&streamed), "{label}: arenas differ");
     let space = oracle.space();
+    let (mut bulk_hits, mut streamed_hits) = (Vec::new(), Vec::new());
     for _ in 0..PROBES {
         let probe = lemma_c1_probe(rng, &space);
         assert_eq!(
@@ -68,10 +69,11 @@ fn assert_same_store(oracle: &JoinOracle<'_>, label: &str, rng: &mut StdRng) -> 
             streamed.find_containing(&probe),
             "{label}: find_containing({probe})"
         );
+        bulk.all_containing_into(&probe, &mut bulk_hits);
+        streamed.all_containing_into(&probe, &mut streamed_hits);
         assert_eq!(
-            bulk.all_containing(&probe),
-            streamed.all_containing(&probe),
-            "{label}: all_containing({probe})"
+            bulk_hits, streamed_hits,
+            "{label}: all_containing_into({probe})"
         );
     }
     (boxes, novel)

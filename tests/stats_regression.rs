@@ -58,6 +58,35 @@ fn assert_pin(label: &str, stats: &TetrisStats, expect: Pin) {
     );
 }
 
+/// The probe split: how many knowledge-base queries the store answered
+/// by advancing a frontier, by advancing and repairing one, and by a
+/// full walk from the root. A sequential run answers every query exactly
+/// one of the three ways.
+///
+/// Re-pinned when frontiers began to cross dimension boundaries and every
+/// 1-side began to restore its frame's frontier: only this split moved
+/// (full walks became advances and repairs), every other pin kept its
+/// value. The incremental runs now make one full walk, the first probe,
+/// or a handful where a frontier lags the store by more than
+/// `REPAIR_CAP` inserts. A restart still begins with a full walk.
+fn assert_probe_split(label: &str, stats: &TetrisStats, expect: (u64, u64, u64)) {
+    let got = (
+        stats.probe_advances,
+        stats.probe_repairs,
+        stats.probe_full_walks,
+    );
+    assert_eq!(
+        got.0 + got.1 + got.2,
+        stats.kb_queries,
+        "{label}: the probe split must sum to kb_queries"
+    );
+    assert_eq!(
+        got, expect,
+        "{label}: probe split moved — if intended, follow the update \
+         protocol in tests/stats_regression.rs"
+    );
+}
+
 /// The store/parallel tuning constants are part of the engine's
 /// measured cost model: changing one is a perf-relevant decision that
 /// must be taken deliberately (and re-run through the bench protocol),
@@ -86,6 +115,7 @@ fn example_4_4_counters_are_pinned() {
         &inc.stats,
         (1, 5, 5, 8, 2, 4, 20),
     );
+    assert_probe_split("ex4.4 reloaded incremental", &inc.stats, (16, 3, 1));
 
     let pre = Tetris::preloaded(&oracle).run();
     assert_pin(
@@ -93,6 +123,7 @@ fn example_4_4_counters_are_pinned() {
         &pre.stats,
         (1, 0, 5, 8, 2, 0, 17),
     );
+    assert_probe_split("ex4.4 preloaded incremental", &pre.stats, (16, 0, 1));
 
     let restart = Tetris::reloaded(&oracle).descent(Descent::Restart).run();
     assert_pin(
@@ -100,6 +131,7 @@ fn example_4_4_counters_are_pinned() {
         &restart.stats,
         (6, 5, 9, 8, 2, 4, 52),
     );
+    assert_probe_split("ex4.4 reloaded restart", &restart.stats, (28, 0, 24));
 
     let memo = Tetris::reloaded(&oracle)
         .descent(Descent::RestartMemo)
@@ -109,6 +141,7 @@ fn example_4_4_counters_are_pinned() {
         &memo.stats,
         (6, 5, 9, 8, 2, 4, 42),
     );
+    assert_probe_split("ex4.4 reloaded restart-memo", &memo.stats, (28, 0, 14));
     assert_eq!(memo.stats.mark_hits, 10, "ex4.4 memo mark hits");
     // Witness streaming (PR 6): 5 of the old 14 resolvent inserts are
     // subsumed by the next resolvent and never materialized. The
@@ -153,6 +186,7 @@ fn skew_triangle_m8_counters_are_pinned() {
         &pre.stats,
         (1, 0, 170, 183, 25, 0, 367),
     );
+    assert_probe_split("skew(8) preloaded incremental", &pre.stats, (366, 0, 1));
     assert_eq!(pre.tuples.len() as u64, inst.expected_output.unwrap());
 
     let rel = Tetris::reloaded(&oracle).run();
@@ -161,6 +195,7 @@ fn skew_triangle_m8_counters_are_pinned() {
         &rel.stats,
         (1, 136, 122, 183, 25, 121, 829),
     );
+    assert_probe_split("skew(8) reloaded incremental", &rel.stats, (670, 154, 5));
 
     let restart = Tetris::preloaded(&oracle).descent(Descent::Restart).run();
     assert_pin(
@@ -168,6 +203,7 @@ fn skew_triangle_m8_counters_are_pinned() {
         &restart.stats,
         (26, 0, 357, 183, 25, 0, 881),
     );
+    assert_probe_split("skew(8) preloaded restart", &restart.stats, (633, 0, 248));
 
     // The incremental driver changes restarts down — never the outputs,
     // and (on this instance) not a single resolution.
@@ -223,6 +259,11 @@ fn power_law_four_cycle_counters_are_pinned() {
         "4-cycle power-law preloaded incremental",
         s,
         (1, 0, 8024, 8852, 320, 0, 17705),
+    );
+    assert_probe_split(
+        "4-cycle power-law preloaded incremental",
+        s,
+        (14587, 3052, 66),
     );
     assert_eq!(s.outputs, g.count_four_cycles());
     // The dead inserts (resolvents equal to a finished 0-side, and
@@ -360,7 +401,11 @@ fn obs_histograms_are_pinned() {
     let out = Tetris::with_config(&oracle, cfg).run();
     let l = out.obs.as_ref().expect("obs requested");
     assert_eq!(l.depth.to_csv(), "0,1,5,2", "ex4.4 resolution depths");
-    assert_eq!(l.walk.to_csv(), "6,9,2", "ex4.4 probe walk lengths");
+    // Re-pinned from "6,9,2" (and skew(8) from "164,86,117") when
+    // frontiers began to cross dimension boundaries: a full walk that hits
+    // leaves its partial frontier behind, while an advance that hits
+    // clears it, so the hits moved into bucket 0.
+    assert_eq!(l.walk.to_csv(), "9,7,1", "ex4.4 probe walk lengths");
     assert_eq!(l.repair.to_csv(), "0", "ex4.4 repair windows");
 
     let width = 6u8;
@@ -377,7 +422,7 @@ fn obs_histograms_are_pinned() {
         "0,1,2,19,103,58",
         "skew(8) resolution depths"
     );
-    assert_eq!(l.walk.to_csv(), "164,86,117", "skew(8) probe walk lengths");
+    assert_eq!(l.walk.to_csv(), "191,68,108", "skew(8) probe walk lengths");
     assert_eq!(l.repair.to_csv(), "0", "skew(8) repair windows");
     // The memory ledger on the preloaded binary store is as pinnable as
     // any counter: nodes and bytes are decided by the insert sequence.

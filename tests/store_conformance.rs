@@ -16,6 +16,12 @@
 //! * **Exact shards** — `extract_intersecting_into` must produce
 //!   exactly the stored boxes intersecting the target.
 //! * **Monotone epochs** — content changes advance the epoch.
+//! * **Frontiers cross dimensions** — an engine-shaped descent (split the
+//!   first thick dimension, 0-side first, the 1-side from the frame's
+//!   saved frontier) runs every dimension to full width and continues
+//!   into the next. After every miss the carried frontier equals the one
+//!   a fresh full walk records, and a full walk happens only where the
+//!   store cannot carry one.
 //!
 //! Every assertion message carries the `(seed, step)` pair, so a
 //! failure is reproducible with a one-line filter.
@@ -389,4 +395,263 @@ fn clear_at_wrap_box_tree() {
     for span in [REPAIR_CAP as usize, 4 * REPAIR_CAP as usize] {
         clear_at_wrap_run(span);
     }
+}
+
+/// An engine-shaped descent over a space whose dimensions may have zero
+/// width: the probes `Skeleton::drive` makes, with inserts racing them.
+struct CrossingRun {
+    ctx: String,
+    widths: Vec<u8>,
+    store: BoxTree,
+    naive: NaiveStore,
+    rng: StdRng,
+    probe: DescentProbe,
+    frontiers: FrontierStack,
+    /// Novel inserts so far (the store's insert count), and clears.
+    inserts: u64,
+    clears: u64,
+    /// The live frontier's probed dimension, insert mark and clear count
+    /// (`None` after a hit), and the same for each saved frame.
+    live: Option<(usize, u64, u64)>,
+    saved: Vec<(usize, u64, u64)>,
+    /// Probes made; crossings (carried into the next dimension), those
+    /// past dimension 0 (whose roots span several combinations of earlier
+    /// prefixes) and those that repaired racing inserts on the way; and
+    /// probes that lagged past `REPAIR_CAP` or skipped a zero-width
+    /// dimension (each of which must full-walk).
+    probes: u64,
+    crossings: u64,
+    sorted_crossings: u64,
+    repaired_crossings: u64,
+    lagged: u64,
+    skipped: u64,
+}
+
+impl CrossingRun {
+    fn n(&self) -> usize {
+        self.widths.len()
+    }
+
+    /// A random component of at least `width − 1` bits (short ones
+    /// cover most of a small space).
+    fn random_interval(&mut self, width: u8) -> DyadicInterval {
+        let len = self.rng.gen_range(width.saturating_sub(1)..=width);
+        DyadicInterval::from_bits(self.rng.gen_range(0..(1u64 << len)), len)
+    }
+
+    fn random_box(&mut self) -> DyadicBox {
+        let mut bx = DyadicBox::universe(self.n());
+        for i in 0..self.n() {
+            let iv = self.random_interval(self.widths[i]);
+            bx.set(i, iv);
+        }
+        bx
+    }
+
+    fn insert(&mut self, bx: &DyadicBox) {
+        let novel = self.naive.insert(bx);
+        assert_eq!(self.store.insert(bx), novel, "{}: insert {bx}", self.ctx);
+        self.inserts += u64::from(novel);
+    }
+
+    /// A box on `t`'s path: components before `d` are prefixes of `t`'s,
+    /// the one at `d` shares a random prefix of `t[d]` and may go deeper,
+    /// and the later ones are `λ` (a λ-tailed box, now and then) or
+    /// random (a box that continues into the next dimensions).
+    fn racer(&mut self, t: &DyadicBox, d: usize) -> DyadicBox {
+        let mut bx = DyadicBox::universe(self.n());
+        for i in 0..d {
+            let full = t.get(i).len();
+            let len = self.rng.gen_range(full.saturating_sub(1)..=full);
+            bx.set(i, t.get(i).truncate(len));
+        }
+        let mut c = t.get(d).truncate(self.rng.gen_range(0..=t.get(d).len()));
+        while c.len() < self.widths[d] && self.rng.gen_range(0..3) > 0 {
+            c = c.child(self.rng.gen_range(0..2));
+        }
+        bx.set(d, c);
+        if self.rng.gen_range(0..4) > 0 {
+            for i in d + 1..self.n() {
+                let iv = self.random_interval(self.widths[i]);
+                bx.set(i, iv);
+            }
+        }
+        bx
+    }
+
+    /// Race inserts against the live descent: mostly a few boxes on the
+    /// current target's path, now and then more than `REPAIR_CAP` of them.
+    fn race(&mut self, t: &DyadicBox, d: usize) {
+        if self.rng.gen_range(0..150) == 0 {
+            // Mid-descent: every saved frontier goes stale.
+            self.store.clear();
+            self.naive.clear();
+            self.clears += 1;
+        }
+        let count = match self.rng.gen_range(0..40) {
+            0 => REPAIR_CAP as usize + 1 + self.rng.gen_range(0..8usize),
+            1..=20 => 0,
+            _ => self.rng.gen_range(1..4usize),
+        };
+        for _ in 0..count {
+            let bx = if self.rng.gen_range(0..4) == 0 {
+                self.random_box()
+            } else {
+                self.racer(t, d)
+            };
+            self.insert(&bx);
+        }
+    }
+
+    fn first_thick(&self, t: &DyadicBox) -> Option<usize> {
+        (0..self.n()).find(|&i| t.get(i).len() < self.widths[i])
+    }
+
+    /// Probe `t` tracked, check it, and descend into its halves on a miss.
+    fn descend(&mut self, t: DyadicBox) {
+        let thick = self.first_thick(&t);
+        let dim = thick.unwrap_or(self.n() - 1);
+        let carried = match self.live {
+            None => false,
+            Some((_, _, clears)) if clears != self.clears => false,
+            Some((sd, mark, _)) => {
+                let lagged = self.inserts - mark > REPAIR_CAP;
+                let skipped = dim != sd && dim != sd + 1;
+                self.lagged += u64::from(lagged);
+                self.skipped += u64::from(skipped && !lagged);
+                let crossing = !lagged && dim == sd + 1;
+                self.crossings += u64::from(crossing);
+                self.sorted_crossings += u64::from(crossing && sd > 0);
+                self.repaired_crossings += u64::from(crossing && self.inserts > mark);
+                !lagged && !skipped
+            }
+        };
+        let full_walks = self.probe.full_walks;
+        let got = self.store.find_containing_tracked(&t, dim, &mut self.probe);
+        self.probes += 1;
+        let ctx = format!("{} target={t} dim={dim}", self.ctx);
+        assert_eq!(
+            got,
+            self.naive.find_containing(&t),
+            "{ctx}: tracked witness"
+        );
+        assert_eq!(
+            got,
+            self.store.find_containing(&t),
+            "{ctx}: untracked witness"
+        );
+        assert_eq!(
+            self.probe.full_walks > full_walks,
+            !carried,
+            "{ctx}: a full walk only for a first probe, after a hit or a \
+             clear, past a lag of REPAIR_CAP, or across a zero-width dimension"
+        );
+        if got.is_some() {
+            self.live = None;
+            return;
+        }
+        let mut fresh = DescentProbe::new();
+        assert_eq!(
+            self.store.find_containing_tracked(&t, dim, &mut fresh),
+            None
+        );
+        assert!(
+            self.probe.same_frontier(&fresh),
+            "{ctx}: the carried frontier differs from a fresh full walk's"
+        );
+        self.live = Some((dim, self.inserts, self.clears));
+        let Some(d) = thick else {
+            return; // an uncovered unit box
+        };
+        if self.rng.gen_range(0..8) == 0 {
+            self.race(&t, d);
+        }
+        self.frontiers.push_saved(&self.probe);
+        self.saved
+            .push(self.live.expect("a miss leaves a frontier"));
+        self.descend(t.with(d, t.get(d).child(0)));
+        self.race(&t, d);
+        assert!(self.frontiers.restore_top(&t, &mut self.probe));
+        self.live = self.saved.last().copied();
+        self.descend(t.with(d, t.get(d).child(1)));
+        self.frontiers.pop();
+        self.saved.pop();
+    }
+}
+
+/// Engine-shaped descents whose frontiers cross dimension boundaries:
+/// random spaces of 1–3 dimensions, some of zero width, each descended
+/// from the universe down with racing inserts (on the target's path,
+/// λ-tailed or continuing, now and then more than `REPAIR_CAP` at once),
+/// 1-sides entered through the frame's saved frontier, and a clear
+/// between some descents. Every answer equals `find_containing` and the
+/// reference; after every miss the carried frontier equals a fresh full
+/// walk's; and a full walk happens exactly on a first probe, after a hit
+/// or a clear, past a lag of `REPAIR_CAP`, or across a zero-width
+/// dimension.
+#[test]
+fn frontiers_cross_dimensions() {
+    let (mut probes, mut crossings, mut sorted, mut repaired) = (0, 0, 0, 0);
+    let (mut lagged, mut skipped) = (0, 0);
+    for seed in 0..96u64 {
+        let mut rng = StdRng::seed_from_u64(1000 + seed);
+        let n = rng.gen_range(1..=3);
+        let widths: Vec<u8> = (0..n)
+            .map(|_| {
+                if rng.gen_range(0..5) == 0 {
+                    0
+                } else {
+                    rng.gen_range(1..=4)
+                }
+            })
+            .collect();
+        let mut run = CrossingRun {
+            ctx: format!("seed={seed} widths={widths:?}"),
+            store: BoxTree::new(n),
+            naive: NaiveStore::default(),
+            widths,
+            rng,
+            probe: DescentProbe::new(),
+            frontiers: FrontierStack::new(),
+            inserts: 0,
+            clears: 0,
+            live: None,
+            saved: Vec::new(),
+            probes: 0,
+            crossings: 0,
+            sorted_crossings: 0,
+            repaired_crossings: 0,
+            lagged: 0,
+            skipped: 0,
+        };
+        for step in 0..6 {
+            run.ctx = format!("seed={seed} step={step} widths={:?}", run.widths);
+            if step > 0 && run.rng.gen_range(0..3) == 0 {
+                run.store.clear();
+                run.naive.clear();
+                run.clears += 1;
+            }
+            for _ in 0..run.rng.gen_range(0..12) {
+                let bx = run.random_box();
+                run.insert(&bx);
+            }
+            // The universe is no child of the last target: a full walk.
+            run.live = None;
+            run.descend(DyadicBox::universe(n));
+            assert!(run.frontiers.is_empty());
+        }
+        probes += run.probes;
+        crossings += run.crossings;
+        sorted += run.sorted_crossings;
+        repaired += run.repaired_crossings;
+        lagged += run.lagged;
+        skipped += run.skipped;
+    }
+    // The wall must reach every case it guards.
+    assert!(probes > 6_000, "{probes} probes");
+    assert!(crossings > 800, "{crossings} crossings");
+    assert!(sorted > 600, "{sorted} crossings past dimension 0");
+    assert!(repaired > 400, "{repaired} crossings that repaired");
+    assert!(lagged > 0, "no frontier lagged past REPAIR_CAP");
+    assert!(skipped > 0, "no descent crossed a zero-width dimension");
 }
