@@ -8,8 +8,8 @@
 
 use bench::{fit_exponent, fmt_f, time, Table};
 use boxstore::SetOracle;
+use plan::QueryPlanBuilder;
 use tetris_core::{balance::TetrisLB, Descent, Tetris};
-use tetris_join::prepared::PreparedJoin;
 use workload::{bcp, cycles, paths, triangle};
 
 /// The experiments `main` can run, in the order `all` runs them.
@@ -50,7 +50,7 @@ fn f2_tree_agm() {
     let (mut ns, mut unc) = (Vec::new(), Vec::new());
     for &m in &[100u64, 200, 400, 800] {
         let inst = triangle::skew_triangle(m, width);
-        let join = PreparedJoin::builder(width)
+        let join = QueryPlanBuilder::new(width)
             .atom("R", &inst.r, &["A", "B"])
             .atom("S", &inst.s, &["B", "C"])
             .atom("T", &inst.t, &["A", "C"])
@@ -115,7 +115,7 @@ fn f2_tree_cache() {
     let (mut ks, mut cach, mut unc) = (Vec::new(), Vec::new(), Vec::new());
     for &k in &[4usize, 8, 16, 32, 64] {
         let inst = paths::comb_path(k, 4, 8, width);
-        let join = PreparedJoin::builder(width)
+        let join = QueryPlanBuilder::new(width)
             .atom("R", &inst.r, &["A", "B"])
             .atom("S", &inst.s, &["B", "C"])
             .build();
@@ -191,7 +191,7 @@ fn f2_ordered_tww() {
     let (mut ks, mut res) = (Vec::new(), Vec::new());
     for &k in &[2usize, 4, 8, 16, 32] {
         let inst = cycles::comb_four_cycle(k, 2, 8, width);
-        let join = PreparedJoin::builder(width)
+        let join = QueryPlanBuilder::new(width)
             .atom("R1", &inst.rels[0], &["A", "B"])
             .atom("R2", &inst.rels[1], &["B", "C"])
             .atom("R3", &inst.rels[2], &["C", "D"])

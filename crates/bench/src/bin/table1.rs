@@ -7,8 +7,8 @@
 
 use baseline::{leapfrog::leapfrog_join, pairwise, yannakakis::yannakakis_join, JoinSpec};
 use bench::{fit_exponent, fmt_f, time, Table};
+use plan::QueryPlanBuilder;
 use tetris_core::{Tetris, TetrisConfig};
-use tetris_join::prepared::PreparedJoin;
 use workload::{cycles, paths, triangle};
 
 /// The experiments `main` can run, in the order `all` runs them.
@@ -58,7 +58,7 @@ fn t1_acyclic() {
     let mut attrs = Vec::new();
     for &n in &[500usize, 1000, 2000, 4000, 8000] {
         let chain = paths::random_chain(3, n, width, 7);
-        let join = PreparedJoin::builder(width)
+        let join = QueryPlanBuilder::new(width)
             .atom("R", &chain[0], &["A", "B"])
             .atom("S", &chain[1], &["B", "C"])
             .atom("T", &chain[2], &["C", "D"])
@@ -158,7 +158,7 @@ fn t1_agm() {
     let (mut ns, mut tetris_res, mut hash_inter) = (Vec::new(), Vec::new(), Vec::new());
     for &m in &[200u64, 400, 800, 1600] {
         let inst = triangle::skew_triangle(m, width);
-        let join = PreparedJoin::builder(width)
+        let join = QueryPlanBuilder::new(width)
             .atom("R", &inst.r, &["A", "B"])
             .atom("S", &inst.s, &["B", "C"])
             .atom("T", &inst.t, &["A", "C"])
@@ -214,7 +214,7 @@ fn t1_fhtw() {
         let width = k as u8 + 1;
         let grid = triangle::agm_triangle(s, width);
         let msb = triangle::msb_triangle_relations(width);
-        let join = PreparedJoin::builder(width)
+        let join = QueryPlanBuilder::new(width)
             .atom("R1", &grid.r, &["A", "B"])
             .atom("S1", &grid.s, &["B", "C"])
             .atom("T1", &grid.t, &["A", "C"])
@@ -300,7 +300,7 @@ fn t1_cert_tw1() {
 }
 
 fn run_comb_path(inst: &paths::CombPathInstance, width: u8) -> (u64, u64, f64, f64) {
-    let join = PreparedJoin::builder(width)
+    let join = QueryPlanBuilder::new(width)
         .atom("R", &inst.r, &["A", "B"])
         .atom("S", &inst.s, &["B", "C"])
         .build();
@@ -369,7 +369,7 @@ fn t1_cert_tww() {
 }
 
 fn run_comb_cycle(inst: &cycles::FourCycleInstance, width: u8) -> (u64, u64, f64) {
-    let join = PreparedJoin::builder(width)
+    let join = QueryPlanBuilder::new(width)
         .atom("R1", &inst.rels[0], &["A", "B"])
         .atom("R2", &inst.rels[1], &["B", "C"])
         .atom("R3", &inst.rels[2], &["C", "D"])

@@ -168,11 +168,6 @@ impl JsonValue {
             _ => None,
         }
     }
-
-    /// Whether this is JSON `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, JsonValue::Null)
-    }
 }
 
 /// Parse one flat JSON object of the shape [`Table::to_jsonl`] emits
@@ -432,7 +427,7 @@ mod tests {
         );
         let row = parse_jsonl_row(line.trim()).expect("parses");
         let rss = row_field(&row, "peak_rss_mb").unwrap();
-        assert!(rss.is_null());
+        assert!(matches!(rss, JsonValue::Null));
         assert_eq!(rss.as_num(), None);
         assert_eq!(rss.as_str(), None);
     }

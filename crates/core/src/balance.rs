@@ -102,11 +102,6 @@ impl BalancedPartition {
         self.intervals.is_empty()
     }
 
-    /// Whether this is the trivial `{λ}` partition.
-    pub fn is_trivial(&self) -> bool {
-        self.intervals.len() == 1
-    }
-
     /// The partition intervals (sorted left-to-right).
     pub fn intervals(&self) -> &[DyadicInterval] {
         &self.intervals
@@ -487,7 +482,7 @@ mod tests {
     #[test]
     fn balanced_partition_trivial_when_light() {
         let p = BalancedPartition::compute(&[iv("0"), iv("10")], 3, 5);
-        assert!(p.is_trivial());
+        assert_eq!(p.intervals(), &[DyadicInterval::lambda()]);
         assert!(p.is_valid());
     }
 

@@ -272,11 +272,15 @@ impl KbView for Kb {
         dim: usize,
         obs: &mut Option<Box<Ledger>>,
     ) -> Option<DyadicBox> {
-        let repairs = self.probe.repairs;
+        let (repairs, walks, frontier) = (
+            self.probe.repairs,
+            self.probe.full_walks,
+            self.probe.frontier_len(),
+        );
         let hit = self.tree.find_containing_tracked(cur, dim, &mut self.probe);
         debug_assert_eq!(self.tree.find_containing(cur), hit);
         if let Some(l) = obs {
-            l.walk.observe(self.probe.frontier_len() as u64);
+            l.walk.observe(walk_len(&self.probe, walks, frontier));
             observe_repair(l, &self.probe, repairs, cur);
         }
         hit
@@ -301,6 +305,20 @@ impl KbView for Kb {
         stats.probe_repairs = self.probe.repairs;
         stats.probe_full_walks = self.probe.full_walks;
     }
+}
+
+/// The frontier entries a tracked probe worked from, given its
+/// `full_walks` and `frontier_len()` read before the call: the entries a
+/// full walk recorded, else the ones an advance or repair started from.
+/// The frontier left behind is no measure of the work: a hit clears it.
+#[inline]
+pub(crate) fn walk_len(probe: &DescentProbe, walks: u64, frontier: usize) -> u64 {
+    let entries = if probe.full_walks > walks {
+        probe.frontier_len()
+    } else {
+        frontier
+    };
+    entries as u64
 }
 
 /// Observe the repair a tracked probe of `cur` made, if its counter moved

@@ -53,7 +53,9 @@
 //! stats-regression wall pins `outputs` (and the tuples themselves) and
 //! documents every other counter as scheduling-dependent.
 
-use crate::engine::{nav0, observe_repair, KbView, Sched, Skeleton, Tetris, TetrisOutput};
+use crate::engine::{
+    nav0, observe_repair, walk_len, KbView, Sched, Skeleton, Tetris, TetrisOutput,
+};
 use crate::{TetrisConfig, TetrisStats};
 use boxstore::{BoxOracle, BoxTree, DescentProbe};
 use dyadic::DyadicBox;
@@ -260,21 +262,24 @@ impl KbView for Overlay<'_> {
         dim: usize,
         obs: &mut Option<Box<Ledger>>,
     ) -> Option<DyadicBox> {
-        let repairs = (self.base_probe.repairs, self.shard_probe.repairs);
+        let (base, shard) = (&self.base_probe, &self.shard_probe);
+        let repairs = (base.repairs, shard.repairs);
+        let walks = (base.full_walks, shard.full_walks);
+        let frontiers = (base.frontier_len(), shard.frontier_len());
         let mut hit = self
             .base
             .find_containing_tracked(cur, dim, &mut self.base_probe);
-        let mut walk = self.base_probe.frontier_len();
+        let mut walk = walk_len(&self.base_probe, walks.0, frontiers.0);
         if hit.is_none() {
             hit = self
                 .shard
                 .find_containing_tracked(cur, dim, &mut self.shard_probe);
-            walk += self.shard_probe.frontier_len();
+            walk += walk_len(&self.shard_probe, walks.1, frontiers.1);
         }
-        // One walk observation per KB query: the frontier entries across
-        // whichever probes ran for it.
+        // One walk observation per KB query: the frontier entries that
+        // whichever probes ran for it worked from.
         if let Some(l) = obs {
-            l.walk.observe(walk as u64);
+            l.walk.observe(walk);
             observe_repair(l, &self.base_probe, repairs.0, cur);
             observe_repair(l, &self.shard_probe, repairs.1, cur);
         }

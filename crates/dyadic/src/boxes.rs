@@ -249,17 +249,6 @@ impl DyadicBox {
         }
         out
     }
-
-    /// Reorder dimensions: output dimension `i` takes input dimension
-    /// `perm[i]`. Used to move between schema order and SAO order.
-    pub fn permute(&self, perm: &[usize]) -> Self {
-        debug_assert_eq!(perm.len(), self.n());
-        let mut out = Self::universe(perm.len());
-        for (i, &src) in perm.iter().enumerate() {
-            out.dims[i] = self.dims[src];
-        }
-        out
-    }
 }
 
 impl fmt::Debug for DyadicBox {
@@ -398,7 +387,6 @@ mod tests {
         let x = b("10,01,1");
         assert_eq!(x.project_mask(0b011), b("10,01,λ"));
         assert_eq!(x.project_mask(0), DyadicBox::universe(3));
-        assert_eq!(x.permute(&[2, 0, 1]), b("1,10,01"));
     }
 
     #[test]

@@ -409,7 +409,7 @@ impl<E> FlightRecorder<E> {
 pub struct Ledger {
     /// Resolution depth: descent-stack height at each resolution.
     pub depth: Pow2Histogram,
-    /// Probe walk length: frontier entries recorded by each KB query.
+    /// Probe walk length: frontier entries each KB query worked from.
     pub walk: Pow2Histogram,
     /// Repair window size: insert-log lag of each repaired probe.
     pub repair: Pow2Histogram,

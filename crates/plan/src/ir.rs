@@ -2,30 +2,14 @@
 //!
 //! A [`QueryPlan`] is *pure analysis* — no index is built and no relation
 //! is copied until [`QueryPlan::prepare`]. That split keeps planning
-//! cheap enough to inspect (`sao()`, `fhtw()`, `hypergraph()`) before
-//! committing to the physical build, and it is what lets the benches
-//! time preparation separately from execution.
+//! cheap enough to inspect (`sao()`, `hypergraph()`) before committing
+//! to the physical build, and it is what lets the benches time
+//! preparation separately from execution.
 
 use crate::prepared::{ExtraIndex, PreparedQuery};
 use query::Hypergraph;
 use relation::Relation;
 use tetris_core::TetrisConfig;
-
-/// How the plan chooses the splitting attribute order.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum SaoPolicy {
-    /// The historical rule: reverse GYO order for α-acyclic queries
-    /// (Theorem D.8), reverse minimum-induced-width elimination order
-    /// otherwise (Theorem 4.9). This is the default and is what every
-    /// benchmark row was measured under.
-    Auto,
-    /// Reverse the fhtw-optimal elimination order from
-    /// [`query::cover::fhtw`] (an experiment knob for T1.1; exact only
-    /// for queries with ≤ 20 attributes).
-    Fhtw,
-    /// Use exactly this attribute order.
-    Forced(Vec<String>),
-}
 
 /// Which rule actually produced the SAO (recorded on the plan).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -34,8 +18,6 @@ pub enum SaoSource {
     AcyclicGyo,
     /// Reverse minimum-induced-width elimination order.
     MinWidth,
-    /// Reverse fhtw-optimal elimination order.
-    Fhtw,
     /// Caller-supplied order.
     Forced,
 }
@@ -46,7 +28,7 @@ pub struct QueryPlanBuilder<'a> {
     name: String,
     width: u8,
     atoms: Vec<(String, &'a Relation, Vec<String>)>,
-    policy: SaoPolicy,
+    forced_sao: Option<Vec<String>>,
     extra: ExtraIndex,
     config: TetrisConfig,
 }
@@ -58,7 +40,7 @@ impl<'a> QueryPlanBuilder<'a> {
             name: "query".to_string(),
             width,
             atoms: Vec::new(),
-            policy: SaoPolicy::Auto,
+            forced_sao: None,
             extra: ExtraIndex::None,
             config: TetrisConfig {
                 preload: true,
@@ -84,15 +66,11 @@ impl<'a> QueryPlanBuilder<'a> {
         self
     }
 
-    /// Force a specific SAO (shorthand for [`SaoPolicy::Forced`]).
+    /// Force a specific SAO instead of the paper's rule (reverse GYO
+    /// order for α-acyclic queries, Theorem D.8; reverse
+    /// minimum-induced-width elimination order otherwise, Theorem 4.9).
     pub fn sao(mut self, order: &[&str]) -> Self {
-        self.policy = SaoPolicy::Forced(order.iter().map(|s| s.to_string()).collect());
-        self
-    }
-
-    /// Choose how the SAO is selected.
-    pub fn sao_policy(mut self, policy: SaoPolicy) -> Self {
-        self.policy = policy;
+        self.forced_sao = Some(order.iter().map(|s| s.to_string()).collect());
         self
     }
 
@@ -133,25 +111,16 @@ impl<'a> QueryPlanBuilder<'a> {
         let edge_refs: Vec<&[&str]> = edges.iter().map(|e| e.as_slice()).collect();
         let h = Hypergraph::new(&attr_refs, &edge_refs);
 
-        let (sao, sao_source): (Vec<String>, SaoSource) = match &self.policy {
-            SaoPolicy::Forced(s) => {
+        let (sao, sao_source): (Vec<String>, SaoSource) = match self.forced_sao {
+            Some(s) => {
                 assert_eq!(s.len(), attrs.len(), "SAO must cover all attributes");
                 for (i, a) in s.iter().enumerate() {
                     assert!(attrs.contains(a), "SAO names unknown attribute {a:?}");
                     assert!(!s[..i].contains(a), "SAO repeats attribute {a:?}");
                 }
-                (s.clone(), SaoSource::Forced)
+                (s, SaoSource::Forced)
             }
-            SaoPolicy::Fhtw => {
-                let (_, mut order) = query::cover::fhtw(&h)
-                    .expect("fhtw SAO policy needs every attribute covered by an atom");
-                order.reverse();
-                (
-                    order.into_iter().map(|i| attrs[i].clone()).collect(),
-                    SaoSource::Fhtw,
-                )
-            }
-            SaoPolicy::Auto => match h.sao_for_acyclic() {
+            None => match h.sao_for_acyclic() {
                 Some(o) => (
                     o.into_iter().map(|i| attrs[i].clone()).collect(),
                     SaoSource::AcyclicGyo,
@@ -166,21 +135,12 @@ impl<'a> QueryPlanBuilder<'a> {
             },
         };
 
-        // Record the fractional hypertree width as plan metadata when the
-        // subset DP is cheap enough to be free.
-        let fhtw = if attrs.len() <= 12 {
-            query::cover::fhtw(&h).map(|(w, _)| w)
-        } else {
-            None
-        };
-
         QueryPlan {
             name: self.name,
             width: self.width,
             attrs,
             sao,
             sao_source,
-            fhtw,
             hypergraph: h,
             atoms: self.atoms,
             extra: self.extra,
@@ -203,7 +163,6 @@ pub struct QueryPlan<'a> {
     pub(crate) attrs: Vec<String>,
     pub(crate) sao: Vec<String>,
     pub(crate) sao_source: SaoSource,
-    pub(crate) fhtw: Option<f64>,
     pub(crate) hypergraph: Hypergraph,
     pub(crate) atoms: Vec<(String, &'a Relation, Vec<String>)>,
     pub(crate) extra: ExtraIndex,
@@ -236,12 +195,6 @@ impl<'a> QueryPlan<'a> {
         self.sao_source
     }
 
-    /// The fractional hypertree width, when computed (≤ 12 attributes
-    /// and every attribute covered by some atom).
-    pub fn fhtw(&self) -> Option<f64> {
-        self.fhtw
-    }
-
     /// The query hypergraph (vertices in first-mention order).
     pub fn hypergraph(&self) -> &Hypergraph {
         &self.hypergraph
@@ -266,6 +219,59 @@ impl<'a> QueryPlan<'a> {
 mod tests {
     use super::*;
     use relation::Schema;
+
+    #[test]
+    fn acyclic_query_gets_reverse_gyo_sao() {
+        let r = Relation::new(Schema::uniform(&["X", "Y"], 2), vec![vec![0, 1]]);
+        let s = Relation::new(Schema::uniform(&["X", "Y"], 2), vec![vec![1, 2]]);
+        let join = QueryPlanBuilder::new(2)
+            .atom("R", &r, &["A", "B"])
+            .atom("S", &s, &["B", "C"])
+            .build();
+        assert_eq!(join.sao().len(), 3);
+        assert!(join.hypergraph().is_alpha_acyclic());
+        assert_eq!(join.sao_source(), SaoSource::AcyclicGyo);
+        // The SAO must have elimination width 1 when reversed.
+        let pos: Vec<usize> = join
+            .sao()
+            .iter()
+            .map(|a| ["A", "B", "C"].iter().position(|x| x == a).unwrap())
+            .collect();
+        let mut elim = pos.clone();
+        elim.reverse();
+        let (w, _) = query::treewidth::induced_width(join.hypergraph(), &elim);
+        assert_eq!(w, 1);
+    }
+
+    #[test]
+    fn cyclic_query_gets_min_width_sao() {
+        let e = Relation::new(Schema::uniform(&["X", "Y"], 2), vec![vec![0, 1]]);
+        let join = QueryPlanBuilder::new(2)
+            .atom("R", &e, &["A", "B"])
+            .atom("S", &e, &["B", "C"])
+            .atom("T", &e, &["A", "C"])
+            .build();
+        assert_eq!(join.sao_source(), SaoSource::MinWidth);
+        let mut elim: Vec<usize> = join
+            .sao()
+            .iter()
+            .map(|a| ["A", "B", "C"].iter().position(|x| x == a).unwrap())
+            .collect();
+        elim.reverse();
+        let (w, _) = query::treewidth::induced_width(join.hypergraph(), &elim);
+        assert_eq!(w, 2, "triangle treewidth is 2");
+    }
+
+    #[test]
+    fn forced_sao_is_respected() {
+        let r = Relation::new(Schema::uniform(&["X", "Y"], 2), vec![vec![0, 1]]);
+        let join = QueryPlanBuilder::new(2)
+            .atom("R", &r, &["A", "B"])
+            .sao(&["B", "A"])
+            .build();
+        assert_eq!(join.sao(), &["B".to_string(), "A".to_string()]);
+        assert_eq!(join.sao_source(), SaoSource::Forced);
+    }
 
     #[test]
     #[should_panic(expected = "SAO repeats attribute \"A\"")]

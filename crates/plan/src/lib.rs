@@ -6,13 +6,11 @@
 //!
 //! 1. **Plan** ([`QueryPlan`], built by [`QueryPlanBuilder`]): pure
 //!    analysis — collect the attributes, build the query hypergraph, and
-//!    choose the **splitting attribute order** per [`SaoPolicy`] (reverse
-//!    GYO order for α-acyclic queries per Theorem D.8, reverse
-//!    minimum-induced-width elimination order otherwise per Theorem 4.9,
-//!    with the fhtw elimination order of `query::cover::fhtw` and a
-//!    forced-order override as experiment knobs). The plan also carries
-//!    the execution config (preload, descent mode, observability) and,
-//!    for small queries, the fractional hypertree width as metadata.
+//!    choose the **splitting attribute order** (reverse GYO order for
+//!    α-acyclic queries per Theorem D.8, reverse minimum-induced-width
+//!    elimination order otherwise per Theorem 4.9, or an order forced
+//!    with [`QueryPlanBuilder::sao`]). The plan also carries the
+//!    execution config (preload, descent mode, observability).
 //! 2. **Prepare** ([`QueryPlan::prepare`] → [`PreparedQuery`]): build the
 //!    physical artifacts — one trie index per atom in SAO-consistent
 //!    column order (σ-consistent gap boxes, Definition 3.11), plus any
@@ -56,5 +54,5 @@ mod ir;
 mod prepared;
 pub mod zoo;
 
-pub use ir::{QueryPlan, QueryPlanBuilder, SaoPolicy, SaoSource};
+pub use ir::{QueryPlan, QueryPlanBuilder, SaoSource};
 pub use prepared::{ExtraIndex, PlanRun, PreparedQuery};

@@ -53,7 +53,6 @@ pub struct PreparedQuery {
     width: u8,
     sao: Vec<String>,
     sao_source: SaoSource,
-    fhtw: Option<f64>,
     hypergraph: Hypergraph,
     indexed: Vec<IndexedRelation>,
     bindings: Vec<(String, Vec<String>)>,
@@ -61,11 +60,6 @@ pub struct PreparedQuery {
 }
 
 impl PreparedQuery {
-    /// Start building a query whose attributes all have `width` bits.
-    pub fn builder<'a>(width: u8) -> QueryPlanBuilder<'a> {
-        QueryPlanBuilder::new(width)
-    }
-
     /// Build from query text like `"R(A,B), S(B,C), T(A,C)"`, resolving
     /// each relation symbol through `resolver`. Errors on a parse
     /// failure, an atom whose attribute count differs from its relation's
@@ -93,7 +87,7 @@ impl PreparedQuery {
                 parsed.attrs.len()
             ));
         }
-        let mut builder = Self::builder(width);
+        let mut builder = QueryPlanBuilder::new(width);
         for atom in &parsed.atoms {
             let rel = resolver(&atom.name);
             let attrs: Vec<&str> = atom.attrs.iter().map(|s| s.as_str()).collect();
@@ -153,7 +147,6 @@ impl PreparedQuery {
             width: plan.width,
             sao,
             sao_source: plan.sao_source,
-            fhtw: plan.fhtw,
             hypergraph: plan.hypergraph,
             indexed,
             bindings,
@@ -174,11 +167,6 @@ impl PreparedQuery {
     /// Which rule produced the SAO.
     pub fn sao_source(&self) -> SaoSource {
         self.sao_source
-    }
-
-    /// The fractional hypertree width recorded at plan time, if any.
-    pub fn fhtw(&self) -> Option<f64> {
-        self.fhtw
     }
 
     /// The query hypergraph (vertices in first-mention order).
@@ -306,6 +294,28 @@ impl PreparedQuery {
 mod tests {
     use super::*;
     use relation::Schema;
+
+    #[test]
+    fn from_query_text_builds_and_runs() {
+        let e = Relation::new(
+            Schema::uniform(&["X", "Y"], 2),
+            vec![vec![0, 1], vec![1, 2], vec![0, 2]],
+        );
+        let join = PreparedQuery::from_query_text("R(A,B), S(B,C), T(A,C)", 2, |_| &e).unwrap();
+        let oracle = join.oracle();
+        let out = Tetris::reloaded(&oracle).run();
+        let tuples = join.reorder_to(&["A", "B", "C"], &out.tuples);
+        assert_eq!(tuples, vec![vec![0, 1, 2]]);
+    }
+
+    #[test]
+    fn from_query_text_rejects_arity_mismatch() {
+        let e = Relation::new(Schema::uniform(&["X", "Y"], 2), vec![vec![0, 1]]);
+        let err = PreparedQuery::from_query_text("R(A,B,C)", 2, |_| &e)
+            .err()
+            .expect("arity mismatch must be rejected");
+        assert!(err.contains("arity"));
+    }
 
     #[test]
     fn too_many_variables_is_an_error_not_a_panic() {

@@ -43,9 +43,7 @@ fn edge_width(edges: &Relation) -> u8 {
 /// The ordered triangle self-join `E(A,B) ⋈ E(B,C) ⋈ E(A,C)`.
 ///
 /// With edges stored as `u < v`, the join enumerates each triangle
-/// `u < v < w` exactly once. The atoms, attribute names, and order are
-/// exactly those of the historical hand-wired plumbing, so the plan is
-/// bit-identical to it (asserted by `tetris_join`'s tests).
+/// `u < v < w` exactly once.
 pub fn triangle(edges: &Relation) -> QueryPlan<'_> {
     QueryPlanBuilder::new(edge_width(edges))
         .named("triangle")
@@ -149,6 +147,13 @@ mod tests {
             prepared.reorder_to(&TRIANGLE_ATTRS, &run.output.tuples),
             vec![vec![0, 1, 2]]
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "binary edge relation")]
+    fn non_binary_relation_rejected() {
+        let r = Relation::new(Schema::uniform(&["X"], 2), vec![vec![1]]);
+        let _ = triangle(&r);
     }
 
     #[test]

@@ -2,7 +2,6 @@
 //! (paper Appendix A.1–A.2).
 
 use crate::lp::{simplex_max, LpOutcome};
-use crate::treewidth::exact_treewidth;
 use crate::Hypergraph;
 use std::collections::HashMap;
 
@@ -239,14 +238,6 @@ pub(crate) fn reach_mask(adj: &[u32], t: u32, v: usize, full: u32) -> u32 {
     result
 }
 
-/// Sanity relation from Table 1's caption: `fhtw ≤ tw + 1` (as bag sizes:
-/// `fhtw ≤ ghw ≤ qw ≤ tw+1`). Exposed for tests and the bench harness.
-pub fn width_chain(h: &Hypergraph) -> Option<(f64, usize)> {
-    let (tw, _) = exact_treewidth(h);
-    let (f, _) = fhtw(h)?;
-    Some((f, tw))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -363,7 +354,8 @@ mod tests {
                 }
             }
             let h = Hypergraph::from_masks(n, &edges);
-            let (f, tw) = width_chain(&h).unwrap();
+            let (f, _) = fhtw(&h).unwrap();
+            let (tw, _) = crate::treewidth::exact_treewidth(&h);
             assert!(f <= (tw + 1) as f64 + 1e-6, "fhtw {f} > tw+1 {}", tw + 1);
             assert!(f >= 1.0 - 1e-9);
         }

@@ -3,14 +3,11 @@
 //!
 //! The format is deliberately trivial (edge lists, SNAP-style dumps, CSV
 //! without headers all parse), so real datasets drop straight into the
-//! examples and benches. Two read paths exist:
-//!
-//! * [`read_tuples_streaming`] — the scalable one: a single reused line
-//!   buffer and tuple scratch, values handed to a callback as they parse.
-//!   Feeding a flat arena through it into [`Relation::from_flat`] loads
-//!   10⁶-edge graphs without a per-line allocation storm.
-//! * [`read_tuples`] — the convenience one, materializing `Vec<Vec<u64>>`
-//!   (kept for small inputs and tests; built on the streaming path).
+//! examples and benches. Every read goes through
+//! [`read_tuples_streaming`]: a single reused line buffer and tuple
+//! scratch, values handed to a callback as they parse. Feeding a flat
+//! arena through it into [`Relation::from_flat`] ([`read_relation`])
+//! loads 10⁶-edge graphs without a per-line allocation storm.
 
 use crate::{Relation, Schema};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -113,17 +110,6 @@ pub fn read_tuples_streaming<R: Read>(
         count += 1;
     }
     Ok(count)
-}
-
-/// Parse tuples from a reader into owned rows (see
-/// [`read_tuples_streaming`] for the scalable path).
-pub fn read_tuples<R: Read>(reader: R, schema: &Schema) -> Result<Vec<Vec<u64>>, IoError> {
-    let mut tuples = Vec::new();
-    read_tuples_streaming(reader, schema, |t| {
-        tuples.push(t.to_vec());
-        Ok(())
-    })?;
-    Ok(tuples)
 }
 
 /// Parse a full relation from a reader, streaming straight into the flat

@@ -143,13 +143,6 @@ impl<'a> JoinOracle<'a> {
         &self.atoms
     }
 
-    /// Whether the SAO-space point joins (is in every relation).
-    pub fn point_in_all(&self, point: &[u64]) -> bool {
-        self.atoms
-            .iter()
-            .all(|a| a.rel.relation().contains(&a.project(point)))
-    }
-
     /// The full embedded gap set `B(Q)` (for `Tetris-Preloaded`).
     pub fn all_gap_boxes(&self) -> Vec<DyadicBox> {
         let n = self.space.n();
@@ -162,15 +155,6 @@ impl<'a> JoinOracle<'a> {
         out.sort();
         out.dedup();
         out
-    }
-
-    /// Support masks (SAO dims) of the atoms — the query hypergraph's
-    /// edges, for width computations.
-    pub fn atom_masks(&self) -> Vec<u32> {
-        self.atoms
-            .iter()
-            .map(|a| a.dims.iter().fold(0u32, |m, &d| m | (1 << d)))
-            .collect()
     }
 }
 
@@ -290,7 +274,10 @@ mod tests {
             let probe = DyadicBox::from_point(p, &space);
             q.boxes_containing_into(&probe, &mut hits);
             assert!(!hits.is_empty(), "point {p:?} must be covered");
-            assert!(!q.point_in_all(p));
+            let joins = r.relation().contains(&[p[0], p[1]])
+                && s.relation().contains(&[p[1], p[2]])
+                && t.relation().contains(&[p[0], p[2]]);
+            assert!(!joins, "point {p:?} is covered but joins");
         });
     }
 
@@ -350,21 +337,5 @@ mod tests {
             vec![vec![0, 1]],
         ));
         let _ = JoinOracle::new(&["A", "B"], &[2, 2]).atom("R", &r, &["A", "Z"]);
-    }
-
-    #[test]
-    fn atom_masks_form_hypergraph() {
-        let r = IndexedRelation::new(Relation::new(
-            Schema::uniform(&["A", "B"], 2),
-            vec![vec![0, 1]],
-        ));
-        let s = IndexedRelation::new(Relation::new(
-            Schema::uniform(&["B", "C"], 2),
-            vec![vec![1, 0]],
-        ));
-        let q = JoinOracle::new(&["A", "B", "C"], &[2, 2, 2])
-            .atom("R", &r, &["A", "B"])
-            .atom("S", &s, &["B", "C"]);
-        assert_eq!(q.atom_masks(), vec![0b011, 0b110]);
     }
 }

@@ -173,15 +173,6 @@ impl Relation {
         out
     }
 
-    /// [`Relation::flat_in_order`] materialized as per-tuple vectors (kept
-    /// for callers that want owned rows).
-    pub fn tuples_in_order(&self, order: &[usize]) -> Vec<Vec<u64>> {
-        self.flat_in_order(order)
-            .chunks_exact(self.arity())
-            .map(<[u64]>::to_vec)
-            .collect()
-    }
-
     /// Project onto a subset of attribute positions (result deduplicated).
     pub fn project(&self, positions: &[usize]) -> Vec<Vec<u64>> {
         let mut out: Vec<Vec<u64>> = self
@@ -248,8 +239,6 @@ mod tests {
     #[test]
     fn reordered_tuples() {
         let rel = r();
-        let ba = rel.tuples_in_order(&[1, 0]);
-        assert_eq!(ba, vec![vec![1, 3], vec![3, 1], vec![5, 3]]);
         assert_eq!(rel.flat_in_order(&[1, 0]), vec![1, 3, 3, 1, 5, 3]);
     }
 

@@ -1,6 +1,5 @@
 //! Cyclic-query instances beyond the triangle: 4-cycles (treewidth 2) for
-//! the `Õ(|C|^{w+1})` certificate bound, and disjoint triangle pairs for
-//! the fractional-hypertree-width bound of Theorem D.9.
+//! the `Õ(|C|^{w+1})` certificate bound.
 
 use relation::{Relation, Schema};
 
@@ -10,22 +9,6 @@ pub struct FourCycleInstance {
     pub rels: Vec<Relation>,
     /// Per-attribute bit width.
     pub width: u8,
-}
-
-/// Grid 4-cycle: every relation is `[s] × [s]`; the output has `s⁴`
-/// tuples (`= N²` for `N = s²`) — the AGM-tight case for the 4-cycle.
-pub fn grid_four_cycle(s: u64, width: u8) -> FourCycleInstance {
-    assert!(s <= 1 << width);
-    let mut pairs = Vec::with_capacity((s * s) as usize);
-    for a in 0..s {
-        for b in 0..s {
-            pairs.push(vec![a, b]);
-        }
-    }
-    let rels = (0..4)
-        .map(|_| Relation::new(Schema::uniform(&["X", "Y"], width), pairs.clone()))
-        .collect();
-    FourCycleInstance { rels, width }
 }
 
 /// Comb-certificate 4-cycle: the `B` attribute's domain is split into
@@ -72,58 +55,9 @@ pub fn comb_four_cycle(k: usize, per_block: usize, fanout: usize, width: u8) -> 
     FourCycleInstance { rels, width }
 }
 
-/// Two vertex-disjoint triangles (6 attributes, 6 relations): the query's
-/// `ρ* = 3` but its fractional hypertree width is `3/2`, so
-/// `Tetris-Preloaded` on a good SAO runs in `Õ(N^{3/2} + Z)` — far below
-/// the `N³` AGM bound — when each triangle's instance is the MSB instance
-/// (empty output). Returns the six relations in order
-/// `R(A,B), S(B,C), T(A,C), R'(D,E), S'(E,F), T'(D,F)`.
-pub fn disjoint_msb_triangles(width: u8) -> (Vec<Relation>, u8) {
-    assert!(width <= 8);
-    let dom = 1u64 << width;
-    let msb = |v: u64| v >> (width - 1);
-    let mut pairs = Vec::new();
-    for a in 0..dom {
-        for b in 0..dom {
-            if msb(a) != msb(b) {
-                pairs.push(vec![a, b]);
-            }
-        }
-    }
-    let rels = (0..6)
-        .map(|_| Relation::new(Schema::uniform(&["X", "Y"], width), pairs.clone()))
-        .collect();
-    (rels, width)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn grid_four_cycle_output_size() {
-        let inst = grid_four_cycle(3, 3);
-        // Brute force the 4-cycle join: should be s^4 = 81.
-        let mut z = 0u64;
-        for a in 0..8u64 {
-            for b in 0..8u64 {
-                if !inst.rels[0].contains(&[a, b]) {
-                    continue;
-                }
-                for c in 0..8u64 {
-                    if !inst.rels[1].contains(&[b, c]) {
-                        continue;
-                    }
-                    for d in 0..8u64 {
-                        if inst.rels[2].contains(&[c, d]) && inst.rels[3].contains(&[d, a]) {
-                            z += 1;
-                        }
-                    }
-                }
-            }
-        }
-        assert_eq!(z, 81);
-    }
 
     #[test]
     fn comb_four_cycle_is_empty() {
@@ -132,23 +66,6 @@ mod tests {
         let r2b: Vec<u64> = inst.rels[1].tuples().map(|t| t[0]).collect();
         for b in &r1b {
             assert!(!r2b.contains(b));
-        }
-    }
-
-    #[test]
-    fn disjoint_triangles_have_empty_output_per_triangle() {
-        let (rels, width) = disjoint_msb_triangles(3);
-        assert_eq!(rels.len(), 6);
-        let dom = 1u64 << width;
-        let msb = |v: u64| v >> (width - 1);
-        // Any (a,b,c) with pairwise-complementary MSBs is impossible.
-        for a in 0..dom {
-            for b in 0..dom {
-                for c in 0..dom {
-                    let tri = msb(a) != msb(b) && msb(b) != msb(c) && msb(a) != msb(c);
-                    assert!(!tri, "three MSBs cannot be pairwise distinct");
-                }
-            }
         }
     }
 }

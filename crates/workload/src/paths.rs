@@ -84,49 +84,6 @@ pub fn half_split_path(tuples_per_side: usize, width: u8) -> CombPathInstance {
     }
 }
 
-/// A **resolvent-reuse** instance for the Theorem 5.2 regime: the
-/// treewidth-1 query `R(A,B) ⋈ S(A,C) ⋈ T(C)` where, under the SAO
-/// `(A, B, C)`, the per-`a` proof `⟨a, λ, λ⟩` must be reused across all
-/// `m` values of `B`. With resolvent caching the proof costs `Õ(N)`;
-/// without caching (Tree Ordered Geometric Resolution) each of the `m`
-/// `B`-branches re-derives the `C`-axis proof, giving `Θ(N^{3/2})` —
-/// matching the theorem's `Ω(N^{n/2})` for `n = 3`.
-///
-/// Construction: `R = [m] × [m]`; `S(a, ·)` holds the odd values
-/// `{1, 3, …, 2m−1}` for every `a < m`; `T` holds the even values
-/// `{0, 2, …, 2m−2}`. The join is empty (`c` would need to be odd and
-/// even), certified by interleaving `S`/`T` gaps along the `C` axis.
-pub struct StarReuseInstance {
-    /// R(A,B).
-    pub r: Relation,
-    /// S(A,C).
-    pub s: Relation,
-    /// T(C) — unary.
-    pub t: Relation,
-    /// Per-attribute bit width.
-    pub width: u8,
-}
-
-/// Build the reuse instance for side `m` (see [`StarReuseInstance`]).
-pub fn star_reuse(m: u64, width: u8) -> StarReuseInstance {
-    assert!(2 * m <= 1u64 << width, "2m must fit the {width}-bit domain");
-    let mut r_pairs = Vec::with_capacity((m * m) as usize);
-    let mut s_pairs = Vec::with_capacity((m * m) as usize);
-    for a in 0..m {
-        for j in 0..m {
-            r_pairs.push(vec![a, j]);
-            s_pairs.push(vec![a, 2 * j + 1]);
-        }
-    }
-    let t_vals: Vec<Vec<u64>> = (0..m).map(|j| vec![2 * j]).collect();
-    StarReuseInstance {
-        r: Relation::new(Schema::uniform(&["A", "B"], width), r_pairs),
-        s: Relation::new(Schema::uniform(&["A", "C"], width), s_pairs),
-        t: Relation::new(Schema::uniform(&["C"], width), t_vals),
-        width,
-    }
-}
-
 /// A `k`-atom chain query `R₁(A₁,A₂) ⋈ … ⋈ R_k(A_k, A_{k+1})` populated
 /// with random tuples (for acyclic worst-case scaling, Theorem D.8).
 /// Returns the relations in chain order.
@@ -184,18 +141,6 @@ mod tests {
         let half = 1u64 << 5;
         assert!(inst.r.tuples().all(|t| t[1] < half));
         assert!(inst.s.tuples().all(|t| t[0] >= half));
-    }
-
-    #[test]
-    fn star_reuse_join_is_empty() {
-        let inst = star_reuse(4, 4);
-        assert_eq!(inst.r.len(), 16);
-        assert_eq!(inst.s.len(), 16);
-        assert_eq!(inst.t.len(), 4);
-        // S holds odd C values, T holds even ones ⇒ no c satisfies both.
-        for st in inst.s.tuples() {
-            assert!(!inst.t.contains(&[st[1]]), "join must be empty");
-        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 
 use baseline::{leapfrog::leapfrog_join, JoinSpec};
 use std::time::Instant;
-use tetris_join::prepared::PreparedJoin;
+use tetris_join::plan::QueryPlanBuilder;
 use tetris_join::relation::{IndexedRelation, JoinOracle};
 use tetris_join::tetris::Tetris;
 use workload::{bowtie, paths};
@@ -37,7 +37,7 @@ fn part1_certificate_scaling() {
     let width = 16u8;
     for &n in &[1_000usize, 10_000, 100_000] {
         let inst = paths::half_split_path(n, width);
-        let join = PreparedJoin::builder(width)
+        let join = QueryPlanBuilder::new(width)
             .atom("R", &inst.r, &["A", "B"])
             .atom("S", &inst.s, &["B", "C"])
             .build();

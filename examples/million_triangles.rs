@@ -9,16 +9,15 @@
 //! cargo run --release --example million_triangles -- --threads 4 --seed 7
 //! ```
 //!
-//! `--edges` sets the graph size (`TETRIS_EDGES` env still works as a
-//! fallback), `--threads N` runs the listing under
+//! `--edges` sets the graph size, `--threads N` runs the listing under
 //! `Descent::Parallel { threads: N }` (default 1 = sequential), and
 //! `--seed` overrides the generator seed.
 
 use std::time::Instant;
+use tetris_join::plan::zoo;
 use tetris_join::relation::io::read_tuples_streaming;
 use tetris_join::relation::{Relation, Schema};
 use tetris_join::tetris::{Descent, TetrisConfig};
-use tetris_join::triangles::prepared_triangle_join;
 use workload::graphs::{self, Graph};
 
 fn usage(msg: &str) -> ! {
@@ -28,10 +27,7 @@ fn usage(msg: &str) -> ! {
 }
 
 fn main() {
-    let mut target_edges: usize = std::env::var("TETRIS_EDGES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1_000_000);
+    let mut target_edges: usize = 1_000_000;
     let mut threads: usize = 1;
     let mut seed: u64 = 42;
     let mut it = std::env::args().skip(1);
@@ -123,7 +119,7 @@ fn main() {
     //    execution goes through the plan layer's generic pipeline.
     let edges: Relation = graph.edge_relation();
     let start = Instant::now();
-    let join = prepared_triangle_join(&edges);
+    let join = zoo::triangle(&edges).prepare();
     let index_t = start.elapsed();
     let cfg = TetrisConfig {
         preload: true,

@@ -5,7 +5,7 @@
 //! ```
 
 use relation::{Relation, Schema};
-use tetris_join::prepared::PreparedJoin;
+use tetris_join::plan::QueryPlanBuilder;
 use tetris_join::tetris::Tetris;
 
 fn main() {
@@ -24,9 +24,9 @@ fn main() {
     );
 
     // The triangle query Q(A,B,C) = E(A,B) ⋈ E(B,C) ⋈ E(A,C).
-    // PreparedJoin picks the splitting attribute order and builds
+    // The plan picks the splitting attribute order and builds
     // SAO-consistent trie indexes (the paper's σ-consistent gap boxes).
-    let join = PreparedJoin::builder(4)
+    let join = QueryPlanBuilder::new(4)
         .atom("E1", &edges, &["A", "B"])
         .atom("E2", &edges, &["B", "C"])
         .atom("E3", &edges, &["A", "C"])

@@ -8,7 +8,7 @@
 
 use baseline::{leapfrog::leapfrog_join, pairwise, JoinSpec};
 use std::time::Instant;
-use tetris_join::prepared::PreparedJoin;
+use tetris_join::plan::QueryPlanBuilder;
 use tetris_join::tetris::Tetris;
 use workload::graphs;
 
@@ -27,7 +27,7 @@ fn main() {
     );
 
     // Ordered triangle listing (u < v < w) via the self-join of E.
-    let join = PreparedJoin::builder(width)
+    let join = QueryPlanBuilder::new(width)
         .atom("E1", &edges, &["A", "B"])
         .atom("E2", &edges, &["B", "C"])
         .atom("E3", &edges, &["A", "C"])

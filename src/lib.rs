@@ -11,9 +11,6 @@
 //! * [`obs`] — opt-in metrics: phase spans, counters, histograms.
 //! * [`workload`] — instance generators for tests and benchmarks.
 
-pub mod prepared;
-pub mod triangles;
-
 pub use baseline;
 pub use boxstore;
 pub use dyadic;

@@ -6,7 +6,7 @@
 
 use boxstore::SetOracle;
 use dyadic::{DyadicBox, DyadicInterval, Space};
-use tetris_join::prepared::PreparedJoin;
+use tetris_join::plan::QueryPlanBuilder;
 use tetris_join::tetris::{balance::TetrisLB, klee, Tetris};
 use workload::paths;
 
@@ -68,7 +68,7 @@ fn certificate_bound_with_32_bit_attributes() {
     // has 4 billion values and N = 20k tuples.
     let width = 32u8;
     let inst = paths::half_split_path(20_000, width);
-    let join = PreparedJoin::builder(width)
+    let join = QueryPlanBuilder::new(width)
         .atom("R", &inst.r, &["A", "B"])
         .atom("S", &inst.s, &["B", "C"])
         .build();

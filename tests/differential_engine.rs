@@ -18,7 +18,7 @@ use boxstore::{coverage, SetOracle};
 use dyadic::{DyadicBox, DyadicInterval, Space, MAX_DIMS};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use relation::{Relation, Schema};
-use tetris_join::prepared::PreparedJoin;
+use tetris_join::plan::QueryPlanBuilder;
 use tetris_join::tetris::{Descent, Tetris, TetrisConfig, TetrisStats};
 
 /// A random space with `1..=MAX_DIMS` dimensions and mixed widths, kept
@@ -283,7 +283,7 @@ fn parallel_join_pipeline_matches_sequential_and_brute() {
             Relation::new(Schema::uniform(&["X", "Y"], width), tuples)
         };
         let (r, s, t) = (rel(&mut rng), rel(&mut rng), rel(&mut rng));
-        let join = PreparedJoin::builder(width)
+        let join = QueryPlanBuilder::new(width)
             .atom("R", &r, &["A", "B"])
             .atom("S", &s, &["B", "C"])
             .atom("T", &t, &["A", "C"])
@@ -321,11 +321,10 @@ fn parallel_join_pipeline_matches_sequential_and_brute() {
 /// `shard_pool_reuses_retired_shards_before_allocating`.
 #[test]
 fn parallel_shard_reuse_caps_allocations() {
-    use tetris_join::prepared::PreparedJoin;
     use workload::triangle;
     let width = 9u8;
     let inst = triangle::skew_triangle(96, width);
-    let join = PreparedJoin::builder(width)
+    let join = QueryPlanBuilder::new(width)
         .atom("R", &inst.r, &["A", "B"])
         .atom("S", &inst.s, &["B", "C"])
         .atom("T", &inst.t, &["A", "C"])
@@ -362,7 +361,7 @@ fn join_pipeline_matches_baseline_brute_on_random_queries() {
             Relation::new(Schema::uniform(&["X", "Y"], width), tuples)
         };
         let (r, s, t) = (rel(&mut rng), rel(&mut rng), rel(&mut rng));
-        let join = PreparedJoin::builder(width)
+        let join = QueryPlanBuilder::new(width)
             .atom("R", &r, &["A", "B"])
             .atom("S", &s, &["B", "C"])
             .atom("T", &t, &["A", "C"])

@@ -3,17 +3,28 @@
 //! random, skewed, and power-law graphs across seeds — 10³–10⁴ edges in
 //! CI, 10⁵ behind `--ignored` (run with `cargo test -- --ignored`).
 
-use baseline::leapfrog::leapfrog_join;
+use baseline::{leapfrog::leapfrog_join, JoinSpec};
+use tetris_join::plan::zoo::{self, TRIANGLE_ATTRS};
+use tetris_join::relation::Relation;
 use tetris_join::tetris::{Descent, Tetris};
-use tetris_join::triangles::{prepared_triangle_join, triangle_spec, TRIANGLE_ATTRS};
 use workload::graphs::{self, Graph};
+
+/// The triangle query `E(A,B) ⋈ E(B,C) ⋈ E(A,C)` for leapfrog, bound by
+/// hand so the baseline side stays independent of the plan it checks.
+fn triangle_spec(edges: &Relation) -> JoinSpec<'_> {
+    let w = edges.schema().width(0);
+    JoinSpec::new(&["A", "B", "C"], &[w; 3])
+        .atom("E1", edges, &["A", "B"])
+        .atom("E2", edges, &["B", "C"])
+        .atom("E3", edges, &["A", "C"])
+}
 
 /// List triangles three ways and assert full agreement; returns the count.
 fn check_graph(label: &str, g: &Graph) -> u64 {
     let edges = g.edge_relation();
     let truth = g.count_triangles();
 
-    let join = prepared_triangle_join(&edges);
+    let join = zoo::triangle(&edges).prepare();
     let oracle = join.oracle();
     let out = Tetris::preloaded(&oracle).run();
     // The SAO may reorder (A,B,C); compare as ordered (u < v < w) tuples.
@@ -105,7 +116,7 @@ fn parallel_listings_match_sequential_across_seeds() {
             ),
         ] {
             let edges = g.edge_relation();
-            let join = prepared_triangle_join(&edges);
+            let join = zoo::triangle(&edges).prepare();
             let oracle = join.oracle();
             let seq = Tetris::preloaded(&oracle).run();
             assert_eq!(seq.tuples.len() as u64, g.count_triangles());
@@ -139,7 +150,7 @@ fn parallel_speedup_on_skewed_1e5() {
     }
     let g = graphs::skewed_graph_with_edges(100_000, 2, 22);
     let edges = g.edge_relation();
-    let join = prepared_triangle_join(&edges);
+    let join = zoo::triangle(&edges).prepare();
     let oracle = join.oracle();
     let t0 = std::time::Instant::now();
     let seq = Tetris::preloaded(&oracle).run();
@@ -168,7 +179,7 @@ fn million_edge_skewed_differential() {
     let g = graphs::skewed_graph_with_edges(1_000_000, 2, 0xBEEF);
     let edges = g.edge_relation();
     let truth = g.count_triangles();
-    let join = prepared_triangle_join(&edges);
+    let join = zoo::triangle(&edges).prepare();
     let oracle = join.oracle();
 
     let out = Tetris::preloaded(&oracle).run();

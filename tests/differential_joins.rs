@@ -11,7 +11,7 @@ use baseline::{
 };
 use rand::{Rng, SeedableRng};
 use relation::{Relation, Schema};
-use tetris_join::prepared::{ExtraIndex, PreparedJoin};
+use tetris_join::plan::{ExtraIndex, PreparedQuery, QueryPlanBuilder};
 use tetris_join::tetris::{balance::TetrisLB, Descent, Tetris};
 
 fn random_relation(rng: &mut rand::rngs::StdRng, width: u8, max_tuples: usize) -> Relation {
@@ -25,7 +25,7 @@ fn random_relation(rng: &mut rand::rngs::StdRng, width: u8, max_tuples: usize) -
 
 /// Run all Tetris variants on a prepared join, asserting agreement, and
 /// return the tuples in the given attribute order.
-fn all_tetris_variants(join: &PreparedJoin, attrs: &[&str]) -> Vec<Vec<u64>> {
+fn all_tetris_variants(join: &PreparedQuery, attrs: &[&str]) -> Vec<Vec<u64>> {
     let oracle = join.oracle();
     let reloaded = Tetris::reloaded(&oracle).run();
     let preloaded = Tetris::preloaded(&oracle).run();
@@ -54,7 +54,7 @@ fn triangle_query_all_algorithms_agree() {
         let r = random_relation(&mut rng, width, 20);
         let s = random_relation(&mut rng, width, 20);
         let t = random_relation(&mut rng, width, 20);
-        let join = PreparedJoin::builder(width)
+        let join = QueryPlanBuilder::new(width)
             .atom("R", &r, &["A", "B"])
             .atom("S", &s, &["B", "C"])
             .atom("T", &t, &["A", "C"])
@@ -88,7 +88,7 @@ fn path_query_all_algorithms_agree() {
         let r = random_relation(&mut rng, width, 14);
         let s = random_relation(&mut rng, width, 14);
         let t = random_relation(&mut rng, width, 14);
-        let join = PreparedJoin::builder(width)
+        let join = QueryPlanBuilder::new(width)
             .atom("R", &r, &["A", "B"])
             .atom("S", &s, &["B", "C"])
             .atom("T", &t, &["C", "D"])
@@ -117,7 +117,7 @@ fn four_cycle_query_all_algorithms_agree() {
         let rels: Vec<Relation> = (0..4)
             .map(|_| random_relation(&mut rng, width, 12))
             .collect();
-        let join = PreparedJoin::builder(width)
+        let join = QueryPlanBuilder::new(width)
             .atom("R1", &rels[0], &["A", "B"])
             .atom("R2", &rels[1], &["B", "C"])
             .atom("R3", &rels[2], &["C", "D"])
@@ -149,7 +149,7 @@ fn bowtie_query_with_unary_atoms_agrees() {
         let r = mk_unary(&mut rng);
         let t = mk_unary(&mut rng);
         let s = random_relation(&mut rng, width, 25);
-        let join = PreparedJoin::builder(width)
+        let join = QueryPlanBuilder::new(width)
             .atom("R", &r, &["A"])
             .atom("S", &s, &["A", "B"])
             .atom("T", &t, &["B"])
@@ -176,14 +176,14 @@ fn extra_indexes_do_not_change_output() {
         let width = 2u8;
         let r = random_relation(&mut rng, width, 12);
         let s = random_relation(&mut rng, width, 12);
-        let base = PreparedJoin::builder(width)
+        let base = QueryPlanBuilder::new(width)
             .atom("R", &r, &["A", "B"])
             .atom("S", &s, &["B", "C"])
             .build();
         let oracle = base.oracle();
         let expect = Tetris::reloaded(&oracle).run().tuples;
         for extra in [ExtraIndex::Dyadic, ExtraIndex::AllTrieRotations] {
-            let join = PreparedJoin::builder(width)
+            let join = QueryPlanBuilder::new(width)
                 .atom("R", &r, &["A", "B"])
                 .atom("S", &s, &["B", "C"])
                 .extra_index(extra)
@@ -204,7 +204,7 @@ fn five_attribute_star_query() {
         let rels: Vec<Relation> = (0..4)
             .map(|_| random_relation(&mut rng, width, 10))
             .collect();
-        let join = PreparedJoin::builder(width)
+        let join = QueryPlanBuilder::new(width)
             .atom("R1", &rels[0], &["H", "A"])
             .atom("R2", &rels[1], &["H", "B"])
             .atom("R3", &rels[2], &["H", "C"])

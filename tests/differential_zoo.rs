@@ -105,29 +105,6 @@ fn loomis_whitney_3_across_seeds() {
     assert!(some_output, "some LW3 instance should have output");
 }
 
-/// The triangle family through the same generic pipeline, pinned against
-/// the hand-wired facade wrapper: same SAO, same outputs, same
-/// sequential resolution count — the bit-identity half of the PR 8
-/// acceptance criterion at test scale.
-#[test]
-fn triangle_zoo_plan_is_bit_identical_to_facade_wrapper() {
-    for seed in [71u64, 72] {
-        let g = graphs::skewed_graph_with_edges(2_000, 2, seed);
-        let rel = g.edge_relation();
-        let via_zoo = zoo::triangle(&rel).prepare();
-        let via_facade = tetris_join::triangles::prepared_triangle_join(&rel);
-        assert_eq!(via_zoo.sao(), via_facade.sao());
-        let a = via_zoo.run();
-        let b = via_facade.run();
-        assert_eq!(a.output.tuples, b.output.tuples, "seed={seed}");
-        assert_eq!(
-            a.output.stats.resolutions, b.output.stats.resolutions,
-            "seed={seed}: resolution sequences diverged"
-        );
-        assert_eq!(a.output.tuples.len() as u64, g.count_triangles());
-    }
-}
-
 #[test]
 #[ignore = "10⁵-edge tier: ~a minute per family; run with cargo test --release -- --ignored"]
 fn zoo_at_1e5_behind_ignored() {

@@ -1,16 +1,16 @@
-//! Facade coverage: the full `PreparedJoin` → `Tetris::reloaded`
+//! Facade coverage: the full `QueryPlanBuilder` → `Tetris::reloaded`
 //! pipeline must produce exactly the tuples the brute-force oracle
 //! produces, on triangle-query instances drawn from `workload`.
 
 use baseline::{brute::brute_force_join, JoinSpec};
-use tetris_join::prepared::PreparedJoin;
+use tetris_join::plan::QueryPlanBuilder;
 use tetris_join::tetris::Tetris;
 use workload::triangle::{agm_triangle, skew_triangle, TriangleInstance};
 
 /// Run the facade pipeline and the brute-force oracle on a triangle
 /// instance and return both outputs in (A, B, C) order.
 fn both_outputs(inst: &TriangleInstance) -> (Vec<Vec<u64>>, Vec<Vec<u64>>) {
-    let join = PreparedJoin::builder(inst.width)
+    let join = QueryPlanBuilder::new(inst.width)
         .atom("R", &inst.r, &["A", "B"])
         .atom("S", &inst.s, &["B", "C"])
         .atom("T", &inst.t, &["A", "C"])

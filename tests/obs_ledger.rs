@@ -10,13 +10,13 @@
 //! account for *every single one* of them.
 
 use obs::Phase;
-use tetris_join::prepared::PreparedJoin;
+use tetris_join::plan::{PreparedQuery, QueryPlanBuilder};
 use tetris_join::tetris::{Descent, Tetris, TetrisConfig, TetrisOutput};
 use tetris_join::workload::triangle;
 
-fn skew_join() -> PreparedJoin {
+fn skew_join() -> PreparedQuery {
     let inst = triangle::skew_triangle(8, 6);
-    PreparedJoin::builder(6)
+    QueryPlanBuilder::new(6)
         .atom("R", &inst.r, &["A", "B"])
         .atom("S", &inst.s, &["B", "C"])
         .atom("T", &inst.t, &["A", "C"])
@@ -186,7 +186,7 @@ fn attribution_balances_across_threads() {
     // deep resolution sites spread across real prefix rows instead of
     // all spilling into the short row (as the width-6 instances would).
     let inst = triangle::skew_triangle(8, 10);
-    let join = PreparedJoin::builder(10)
+    let join = QueryPlanBuilder::new(10)
         .atom("R", &inst.r, &["A", "B"])
         .atom("S", &inst.s, &["B", "C"])
         .atom("T", &inst.t, &["A", "C"])

@@ -4,7 +4,7 @@
 
 use boxstore::SetOracle;
 use relation::{IndexedRelation, JoinOracle};
-use tetris_join::prepared::{ExtraIndex, PreparedJoin};
+use tetris_join::plan::{ExtraIndex, QueryPlanBuilder};
 use tetris_join::tetris::{balance::TetrisLB, Tetris};
 use workload::{bcp, bowtie, paths, triangle};
 
@@ -14,7 +14,7 @@ fn msb_triangle_join_is_empty_and_cheap_with_dyadic_indexes() {
     // proof loads O(1) fat gap boxes (the six boxes of the figure).
     for d in [3u8, 5, 7] {
         let inst = triangle::msb_triangle_relations(d);
-        let join = PreparedJoin::builder(d)
+        let join = QueryPlanBuilder::new(d)
             .atom("R", &inst.r, &["A", "B"])
             .atom("S", &inst.s, &["B", "C"])
             .atom("T", &inst.t, &["A", "C"])
@@ -107,7 +107,7 @@ fn bowtie_diagonal_rescued_by_unary_gaps() {
     // gaps of R and T certify the join with O(d) boxes.
     let width = 10u8;
     let inst = bowtie::diagonal(512, 5, width);
-    let join = PreparedJoin::builder(width)
+    let join = QueryPlanBuilder::new(width)
         .atom("R", &inst.r, &["A"])
         .atom("S", &inst.s, &["A", "B"])
         .atom("T", &inst.t, &["B"])
@@ -129,7 +129,7 @@ fn skew_triangle_output_is_three_axes() {
     let width = 8u8;
     let m = 60u64;
     let inst = triangle::skew_triangle(m, width);
-    let join = PreparedJoin::builder(width)
+    let join = QueryPlanBuilder::new(width)
         .atom("R", &inst.r, &["A", "B"])
         .atom("S", &inst.s, &["B", "C"])
         .atom("T", &inst.t, &["A", "C"])
@@ -152,7 +152,7 @@ fn half_split_certificate_independent_of_n() {
     let mut counts = Vec::new();
     for &n in &[100usize, 1000, 10000] {
         let inst = paths::half_split_path(n, width);
-        let join = PreparedJoin::builder(width)
+        let join = QueryPlanBuilder::new(width)
             .atom("R", &inst.r, &["A", "B"])
             .atom("S", &inst.s, &["B", "C"])
             .build();
@@ -174,7 +174,7 @@ fn half_split_certificate_independent_of_n() {
 fn grid_triangle_hits_agm_output() {
     let s = 8u64;
     let inst = triangle::agm_triangle(s, 4);
-    let join = PreparedJoin::builder(4)
+    let join = QueryPlanBuilder::new(4)
         .atom("R", &inst.r, &["A", "B"])
         .atom("S", &inst.s, &["B", "C"])
         .atom("T", &inst.t, &["A", "C"])

@@ -28,7 +28,7 @@ use boxstore::SetOracle;
 use dyadic::{DyadicBox, DyadicInterval, Space};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use tetris_join::plan::zoo;
-use tetris_join::prepared::PreparedJoin;
+use tetris_join::plan::QueryPlanBuilder;
 use tetris_join::tetris::balance::{LbOutput, TetrisLB};
 use tetris_join::tetris::{Descent, Tetris, TetrisConfig, TetrisStats};
 use workload::{bcp, graphs, triangle};
@@ -173,7 +173,7 @@ fn example_4_4_counters_are_pinned() {
 fn skew_triangle_m8_counters_are_pinned() {
     let width = 6u8;
     let inst = triangle::skew_triangle(8, width);
-    let join = PreparedJoin::builder(width)
+    let join = QueryPlanBuilder::new(width)
         .atom("R", &inst.r, &["A", "B"])
         .atom("S", &inst.s, &["B", "C"])
         .atom("T", &inst.t, &["A", "C"])
@@ -401,16 +401,16 @@ fn obs_histograms_are_pinned() {
     let out = Tetris::with_config(&oracle, cfg).run();
     let l = out.obs.as_ref().expect("obs requested");
     assert_eq!(l.depth.to_csv(), "0,1,5,2", "ex4.4 resolution depths");
-    // Re-pinned from "6,9,2" (and skew(8) from "164,86,117") when
-    // frontiers began to cross dimension boundaries: a full walk that hits
-    // leaves its partial frontier behind, while an advance that hits
-    // clears it, so the hits moved into bucket 0.
-    assert_eq!(l.walk.to_csv(), "9,7,1", "ex4.4 probe walk lengths");
+    // Re-pinned from "9,7,1" (and skew(8) from "191,68,108") when the
+    // walk histogram began to record the frontier a probe worked from (the
+    // entries an advance or repair started from, or the ones a full walk
+    // recorded) instead of the one it left behind, which a hit clears.
+    assert_eq!(l.walk.to_csv(), "0,15,2", "ex4.4 probe walk lengths");
     assert_eq!(l.repair.to_csv(), "0", "ex4.4 repair windows");
 
     let width = 6u8;
     let inst = triangle::skew_triangle(8, width);
-    let join = PreparedJoin::builder(width)
+    let join = QueryPlanBuilder::new(width)
         .atom("R", &inst.r, &["A", "B"])
         .atom("S", &inst.s, &["B", "C"])
         .atom("T", &inst.t, &["A", "C"])
@@ -422,7 +422,7 @@ fn obs_histograms_are_pinned() {
         "0,1,2,19,103,58",
         "skew(8) resolution depths"
     );
-    assert_eq!(l.walk.to_csv(), "191,68,108", "skew(8) probe walk lengths");
+    assert_eq!(l.walk.to_csv(), "14,137,216", "skew(8) probe walk lengths");
     assert_eq!(l.repair.to_csv(), "0", "skew(8) repair windows");
     // The memory ledger on the preloaded binary store is as pinnable as
     // any counter: nodes and bytes are decided by the insert sequence.
@@ -456,7 +456,7 @@ fn obs_histograms_are_pinned() {
 fn parallel_pins_outputs_and_nothing_else() {
     let width = 6u8;
     let inst = triangle::skew_triangle(8, width);
-    let join = PreparedJoin::builder(width)
+    let join = QueryPlanBuilder::new(width)
         .atom("R", &inst.r, &["A", "B"])
         .atom("S", &inst.s, &["B", "C"])
         .atom("T", &inst.t, &["A", "C"])

@@ -3,7 +3,7 @@
 //! variants on wider relations.
 
 use baseline::{brute::brute_force_join, leapfrog::leapfrog_join, JoinSpec};
-use tetris_join::prepared::PreparedJoin;
+use tetris_join::plan::QueryPlanBuilder;
 use tetris_join::tetris::{balance::TetrisLB, Tetris};
 use workload::loomis;
 
@@ -14,7 +14,7 @@ fn lw3_random_instances_agree_with_brute_force() {
         let inst = loomis::random_loomis_whitney(3, 12, width, seed);
         let attrs = ["A", "B", "C"];
         let bindings = inst.atom_attrs(&attrs);
-        let join = PreparedJoin::builder(width)
+        let join = QueryPlanBuilder::new(width)
             .atom("R0", &inst.rels[0], &bindings[0])
             .atom("R1", &inst.rels[1], &bindings[1])
             .atom("R2", &inst.rels[2], &bindings[2])
@@ -46,7 +46,7 @@ fn lw4_random_instances_agree() {
         let inst = loomis::random_loomis_whitney(4, 20, width, seed);
         let attrs = ["A", "B", "C", "D"];
         let bindings = inst.atom_attrs(&attrs);
-        let join = PreparedJoin::builder(width)
+        let join = QueryPlanBuilder::new(width)
             .atom("R0", &inst.rels[0], &bindings[0])
             .atom("R1", &inst.rels[1], &bindings[1])
             .atom("R2", &inst.rels[2], &bindings[2])
@@ -72,7 +72,7 @@ fn modular_lw3_output_structure() {
     let inst = loomis::modular_loomis_whitney_3(width);
     let attrs = ["A", "B", "C"];
     let bindings = inst.atom_attrs(&attrs);
-    let join = PreparedJoin::builder(width)
+    let join = QueryPlanBuilder::new(width)
         .atom("R0", &inst.rels[0], &bindings[0])
         .atom("R1", &inst.rels[1], &bindings[1])
         .atom("R2", &inst.rels[2], &bindings[2])
@@ -98,7 +98,7 @@ fn mixed_arity_query_agrees() {
         vec![vec![2, 1], vec![3, 0], vec![2, 3]],
     );
     let t = Relation::new(Schema::uniform(&["X"], width), vec![vec![1], vec![3]]);
-    let join = PreparedJoin::builder(width)
+    let join = QueryPlanBuilder::new(width)
         .atom("R", &r, &["A", "B", "C"])
         .atom("S", &s, &["C", "D"])
         .atom("T", &t, &["D"])
